@@ -26,12 +26,8 @@ from .conditions import (
 from .engine import (
     MarketState,
     Quotes,
-    detect_cascade,
-    informative_action,
     initial_market_state,
     solve_quotes,
-    step_market,
-    transaction_price,
 )
 from .errors import (
     ConfigInvalid,
@@ -55,12 +51,10 @@ from .model import (
     NO_TRADE,
     SELL,
     Belief,
-    NoiseRate,
     SignalPartition,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    action_likelihood,
     action_likelihood_vector,
     bayes_posterior,
     bayes_posterior_set,
@@ -84,7 +78,6 @@ from .simulate import (
     EpisodeResult,
     ModeComparison,
     MonteCarloSummary,
-    RngContract,
     ScenarioConfig,
     StateBreakdown,
     compare_modes,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .conditions import azc_audit, is_cascade_belief, is_mlrp, is_pairwise_informative, scan_cascades
-from .engine import detect_cascade, solve_quotes
+from .engine import solve_quotes
 from .errors import MarketLearnError
 from .plots import emit_plots
 from .scenario import load_scenario, save_scenario, scenario_to_dict
@@ -103,7 +103,7 @@ def _write_episode_csv(results, config, path: Path) -> None:
         for r in results:
             writer.writerow([
                 r.episode,
-                r.true_value,
+                r.true_state,
                 r.final_price,
                 r.final_belief_on_truth,
                 "" if r.cascade_time is None else r.cascade_time,
@@ -134,7 +134,7 @@ def _cmd_quotes(args) -> int:
         "bid": quotes.bid,
         "ask": quotes.ask,
         "partition": partition.assignment(config.structure.signals),
-        "cascade": detect_cascade(partition),
+        "cascade": partition.all_no_trade,
     })
     return 0
 
@@ -167,9 +167,8 @@ def _cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     comparison = compare_modes(config, slack=args.slack)
-    for mode in ("private", "public"):
-        mode_config = config.with_overrides(mode=mode)
-        _write_episode_csv(run_episodes(mode_config), mode_config, out_dir / f"episodes_{mode}.csv")
+    _write_episode_csv(comparison.private_episodes, config, out_dir / "episodes_private.csv")
+    _write_episode_csv(comparison.public_episodes, config, out_dir / "episodes_public.csv")
     (out_dir / "comparison.json").write_text(
         json.dumps({"scenario": scenario_to_dict(config), "comparison": comparison.as_dict()},
                    indent=2, sort_keys=True) + "\n"

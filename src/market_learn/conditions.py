@@ -415,9 +415,9 @@ def azc_audit(
 
     The verdict is ``fail`` exactly when that floor is at or below
     ``movement_tol``; ties are reported through the maximum-entropy belief
-    achieving the floor.  Boundary cascade beliefs with two or more support
-    states count as failures: full-support beliefs arbitrarily close to them
-    move arbitrarily little, so no uniform movement bound can exist.
+    achieving the floor.  Only full-support beliefs are audited: the cascade
+    scan drops every boundary solution, so a cascade belief on the simplex
+    boundary never reaches the audit and cannot make it fail.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

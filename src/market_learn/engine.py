@@ -1,15 +1,18 @@
-"""Zero-profit quote solving, informed-trader decisions, and market stepping.
+"""Zero-profit quote solving.
 
 The market maker posts a bid and an ask such that expected profit is zero on
 each side: the ``eta/3`` chance of a noise trade subsidizes the adverse
 selection suffered against informed traders.  Rearranged, the zero-profit ask
 is exactly the conditional expectation of the asset value given a buy, and
 symmetrically for the bid, which is how the solver computes candidates.
+
+:func:`quote_core` works on plain weight arrays and is what the private-mode
+episode loop calls every period; :func:`solve_quotes` wraps it in the value
+types and is the reference the tests pin against exhaustive enumeration.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,30 +20,22 @@ import numpy as np
 from .errors import NoConsistentPartition
 from .model import (
     BUY,
-    NO_TRADE,
     SELL,
     Belief,
     SignalPartition,
     SignalStructure,
+    _action_likelihood,
     _eta_value,
-    action_likelihood_vector,
-    expectation,
-    update_public_belief_on_action,
 )
 
 __all__ = [
     "BOUNDARY_BAND",
     "Quotes",
     "MarketState",
-    "informative_action",
+    "quote_core",
     "solve_quotes",
     "initial_market_state",
-    "step_market",
-    "detect_cascade",
-    "transaction_price",
 ]
-
-log = logging.getLogger(__name__)
 
 # Signals whose conditional value sits within this band of a quote are
 # treated as boundary cases and classified no-trade, mirroring the strict
@@ -65,22 +60,12 @@ class Quotes:
 
 @dataclass(frozen=True)
 class MarketState:
-    """Public belief plus the quotes/partition it induces, at one date."""
+    """Public belief plus the quotes/partition it induces: the input of the
+    one-step checks in :mod:`market_learn.verify`."""
 
     belief: Belief
     quotes: Quotes
     partition: SignalPartition
-    period: int = 0
-
-
-def informative_action(posterior_value: float, quotes: Quotes) -> str:
-    """Decision rule of an informed trader: buy strictly above the ask,
-    sell strictly below the bid, otherwise no trade."""
-    if posterior_value > quotes.ask:
-        return BUY
-    if posterior_value < quotes.bid:
-        return SELL
-    return NO_TRADE
 
 
 def _greedy_side(
@@ -116,6 +101,63 @@ def _greedy_side(
     return k, float(quote)
 
 
+_NO_SIGNALS = np.empty(0, dtype=np.intp)
+
+
+def quote_core(w: np.ndarray, structure: SignalStructure, e: float, band: float = BOUNDARY_BAND):
+    """Array core of :func:`solve_quotes` for belief weights ``w`` and a
+    noise rate ``e`` already checked to lie in [0, 1].
+
+    Returns ``(bid, ask, buy, sell)``: the quotes as floats and the buy and
+    sell sets as signal index arrays, in descending (buy) and ascending
+    (sell) order of conditional value.  Raises :class:`NoConsistentPartition`
+    when the sets overlap, the bid is above the ask, or a quote fails the
+    zero-profit self-check.
+    """
+    values = structure.states.values
+    exp_val = float(values @ w)
+    f_sig = w @ structure.likelihood
+    num_sig = (values * w) @ structure.likelihood
+    v = num_sig / f_sig
+
+    if e >= 1.0:
+        return exp_val, exp_val, _NO_SIGNALS, _NO_SIGNALS
+    if e <= 0.0:
+        return min(exp_val, float(v.min())), max(exp_val, float(v.max())), _NO_SIGNALS, _NO_SIGNALS
+
+    order_desc = np.argsort(-v, kind="stable")
+    order_asc = np.argsort(v, kind="stable")
+    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1, band)
+    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1, band)
+
+    buy, sell = order_desc[:k_buy], order_asc[:k_sell]
+    if set(buy.tolist()) & set(sell.tolist()):
+        raise NoConsistentPartition(
+            f"buy and sell sets overlap: {tuple(buy.tolist())} / {tuple(sell.tolist())} (belief {w!r})"
+        )
+    if not (bid <= ask):
+        raise NoConsistentPartition(f"bid {bid} above ask {ask}")
+    _check_zero_profit(w, structure, e, buy, ask, exp_val, BUY)
+    _check_zero_profit(w, structure, e, sell, bid, exp_val, SELL)
+    return bid, ask, buy, sell
+
+
+def _check_zero_profit(w, structure, e, signals, quote, exp_val, action):
+    """Verify, through the action-likelihood route, that the quote equals the
+    conditional expectation given its own trade event."""
+    like = _action_likelihood(structure, signals, e)
+    mass = float(w @ like)
+    cond = float((structure.states.values * w) @ like) / mass
+    if abs(cond - quote) > ZERO_PROFIT_TOL * max(1.0, abs(quote)):
+        raise NoConsistentPartition(
+            f"{action} quote {quote} deviates from conditional expectation {cond}"
+        )
+    if not signals.size and abs(quote - exp_val) > ZERO_PROFIT_TOL * max(1.0, abs(exp_val)):
+        raise NoConsistentPartition(
+            f"empty {action} side must quote the expectation, got {quote} vs {exp_val}"
+        )
+
+
 def solve_quotes(
     belief: Belief,
     structure: SignalStructure,
@@ -142,106 +184,10 @@ def solve_quotes(
         The partition's buy/sell sets are exactly the signals strictly
         beyond the returned quotes (up to ``band``).
     """
-    e = _eta_value(eta)
-    m = structure.n_signals
-    exp_val = expectation(structure.states, belief)
-    w = belief.weights
-    f_sig = w @ structure.likelihood
-    num_sig = (structure.states.values * w) @ structure.likelihood
-    v = num_sig / f_sig
-
-    if e >= 1.0:
-        quotes = Quotes(bid=exp_val, ask=exp_val)
-        return quotes, SignalPartition(m)
-    if e <= 0.0:
-        quotes = Quotes(bid=min(exp_val, float(v.min())), ask=max(exp_val, float(v.max())))
-        return quotes, SignalPartition(m)
-
-    order_desc = np.argsort(-v, kind="stable")
-    order_asc = np.argsort(v, kind="stable")
-    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1, band)
-    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1, band)
-
-    buy = tuple(int(j) for j in order_desc[:k_buy])
-    sell = tuple(int(j) for j in order_asc[:k_sell])
-    if set(buy) & set(sell):
-        raise NoConsistentPartition(
-            f"buy and sell sets overlap: {buy} / {sell} (belief {belief.weights!r})"
-        )
-    partition = SignalPartition(m, buy=buy, sell=sell)
-    quotes = Quotes(bid=bid, ask=ask)
-
-    _check_zero_profit(belief, structure, partition, e, quotes, exp_val)
-
-    if k_buy and log.isEnabledFor(logging.DEBUG):
-        # Multiple consistent prefixes can exist with discrete signals; the
-        # greedy scan lands on the largest, so any smaller consistent prefix
-        # is worth surfacing when debugging quote selection.
-        smaller = [
-            k for k in range(k_buy)
-            if _prefix_consistent(v, order_desc, num_sig, f_sig, exp_val, e, k, band)
-        ]
-        if smaller:
-            log.debug("multiple consistent buy sets (sizes %s); kept %d (lowest ask)",
-                      smaller + [k_buy], k_buy)
-
-    return quotes, partition
-
-
-def _prefix_consistent(v, order, num_sig, f_sig, exp_val, eta, k, band) -> bool:
-    noise, informed = eta / 3.0, 1.0 - eta
-    num = noise * exp_val + informed * num_sig[order[:k]].sum()
-    den = noise + informed * f_sig[order[:k]].sum()
-    q = num / den
-    vs = v[order]
-    inc_ok = k == 0 or np.all(vs[:k] - q > band)
-    exc_ok = k == vs.size or np.all(vs[k:] - q <= band)
-    return bool(inc_ok and exc_ok)
-
-
-def _check_zero_profit(belief, structure, partition, eta, quotes, exp_val):
-    """Verify, through the action-likelihood route, that each quote equals
-    the conditional expectation given its own trade event."""
-    for action, quote, nonempty in (
-        (BUY, quotes.ask, bool(partition.buy)),
-        (SELL, quotes.bid, bool(partition.sell)),
-    ):
-        like = action_likelihood_vector(structure, partition, eta, action)
-        mass = float(belief.weights @ like)
-        cond = float((structure.states.values * belief.weights) @ like) / mass
-        if abs(cond - quote) > ZERO_PROFIT_TOL * max(1.0, abs(quote)):
-            raise NoConsistentPartition(
-                f"{action} quote {quote} deviates from conditional expectation {cond}"
-            )
-        if not nonempty and abs(quote - exp_val) > ZERO_PROFIT_TOL * max(1.0, abs(exp_val)):
-            raise NoConsistentPartition(
-                f"empty {action} side must quote the expectation, got {quote} vs {exp_val}"
-            )
+    bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta), band)
+    return Quotes(bid=bid, ask=ask), SignalPartition(structure.n_signals, buy=buy, sell=sell)
 
 
 def initial_market_state(belief: Belief, structure: SignalStructure, eta) -> MarketState:
     quotes, partition = solve_quotes(belief, structure, eta)
-    return MarketState(belief=belief, quotes=quotes, partition=partition, period=0)
-
-
-def step_market(state: MarketState, structure: SignalStructure, eta, action: str) -> MarketState:
-    """Advance one period on an observed action: update the public belief on
-    the action likelihood, then re-solve quotes for the new belief."""
-    new_belief = update_public_belief_on_action(state.belief, structure, state.partition, eta, action)
-    quotes, partition = solve_quotes(new_belief, structure, eta)
-    return MarketState(belief=new_belief, quotes=quotes, partition=partition, period=state.period + 1)
-
-
-def detect_cascade(partition: SignalPartition) -> bool:
-    """True when no signal can trigger a trade, so no action is informative."""
-    return partition.all_no_trade
-
-
-def transaction_price(quotes: Quotes, action: str, last_price: float) -> float:
-    """Realized transaction price: the ask on a buy, the bid on a sell, and
-    the previous price when nothing trades."""
-    if action == BUY:
-        return quotes.ask
-    if action == SELL:
-        return quotes.bid
-    return last_price
+    return MarketState(belief=belief, quotes=quotes, partition=partition)

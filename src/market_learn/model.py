@@ -36,14 +36,12 @@ __all__ = [
     "SignalSpace",
     "SignalStructure",
     "Belief",
-    "NoiseRate",
     "SignalPartition",
     "validate_structure",
     "bayes_posterior",
     "bayes_posterior_set",
     "expectation",
     "posterior_values",
-    "action_likelihood",
     "action_likelihood_vector",
     "update_public_belief_on_action",
 ]
@@ -148,8 +146,8 @@ class SignalStructure:
 
     def set_mass(self, signal_indices: Sequence[int]) -> np.ndarray:
         """f(S|w) for a set of signal column indices, per state."""
-        idx = list(signal_indices)
-        if not idx:
+        idx = np.asarray(signal_indices, dtype=np.intp)
+        if not idx.size:
             return np.zeros(self.n_states)
         return self.likelihood[:, idx].sum(axis=1)
 
@@ -162,13 +160,7 @@ class Belief:
 
     def __post_init__(self):
         arr = _frozen_array(self.weights)
-        if arr.ndim != 1:
-            raise InvalidBelief("belief weights must be a flat sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise InvalidBelief(f"belief weights must be finite and nonnegative, got {arr!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise InvalidBelief(f"belief weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+        _check_weights(arr)
         object.__setattr__(self, "weights", arr)
 
     @classmethod
@@ -183,11 +175,7 @@ class Belief:
 
     @classmethod
     def from_unnormalized(cls, raw) -> "Belief":
-        arr = np.asarray(raw, dtype=float)
-        total = arr.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise InvalidBelief(f"cannot normalize weights with total {total!r}")
-        return cls(arr / total)
+        return cls(_normalized(raw))
 
     @property
     def full_support(self) -> bool:
@@ -197,19 +185,32 @@ class Belief:
         return int(self.weights.size)
 
 
-@dataclass(frozen=True)
-class NoiseRate:
-    """Probability that the arriving trader is a noise trader."""
+def _check_weights(arr: np.ndarray) -> None:
+    """The invariants of a belief vector, shared by :class:`Belief` and the
+    loops that carry plain weight arrays."""
+    if arr.ndim != 1:
+        raise InvalidBelief("belief weights must be a flat sequence")
+    if not np.isfinite(arr).all() or (arr < 0).any():
+        raise InvalidBelief(f"belief weights must be finite and nonnegative, got {arr!r}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise InvalidBelief(f"belief weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
 
-    eta: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0) or not np.isfinite(self.eta):
-            raise InvalidBelief(f"noise rate must lie in [0, 1], got {self.eta!r}")
+def _normalized(raw) -> np.ndarray:
+    arr = np.asarray(raw, dtype=float)
+    total = arr.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise InvalidBelief(f"cannot normalize weights with total {total!r}")
+    return arr / total
 
 
 def _eta_value(eta) -> float:
-    return eta.eta if isinstance(eta, NoiseRate) else NoiseRate(float(eta)).eta
+    """The noise rate (probability of a noise trader) as a float in [0, 1]."""
+    e = float(eta)
+    if not (0.0 <= e <= 1.0):  # also rejects NaN
+        raise InvalidBelief(f"noise rate must lie in [0, 1], got {eta!r}")
+    return e
 
 
 @dataclass(frozen=True)
@@ -330,21 +331,10 @@ def posterior_values(belief: Belief, structure: SignalStructure) -> np.ndarray:
     return num / f_sig
 
 
-def action_likelihood(
-    structure: SignalStructure,
-    partition: SignalPartition,
-    eta,
-    action: str,
-    state_index: int,
-) -> float:
-    """Probability of observing ``action`` given the state:
-    eta/3 + (1 - eta) f(S_action | w).
-
-    The three action likelihoods for a fixed state always sum to 1.
-    """
-    e = _eta_value(eta)
-    mass = structure.set_mass(partition.indices_for(action))[state_index]
-    return e / 3.0 + (1.0 - e) * float(mass)
+def _action_likelihood(structure: SignalStructure, signal_indices, e: float) -> np.ndarray:
+    """eta/3 + (1 - eta) f(S|w) per state, for the action taken on the signal
+    columns ``signal_indices`` (summed in the order given)."""
+    return e / 3.0 + (1.0 - e) * structure.set_mass(signal_indices)
 
 
 def action_likelihood_vector(
@@ -353,9 +343,12 @@ def action_likelihood_vector(
     eta,
     action: str,
 ) -> np.ndarray:
-    """Vectorized :func:`action_likelihood` across all states."""
-    e = _eta_value(eta)
-    return e / 3.0 + (1.0 - e) * structure.set_mass(partition.indices_for(action))
+    """Probability of observing ``action`` given each state:
+    eta/3 + (1 - eta) f(S_action | w).
+
+    The three action likelihoods for a fixed state always sum to 1.
+    """
+    return _action_likelihood(structure, partition.indices_for(action), _eta_value(eta))
 
 
 def update_public_belief_on_action(

@@ -2,32 +2,28 @@
 
 Reproducibility contract: episode ``i`` of a run draws its randomness from
 ``numpy.random.default_rng(SeedSequence((seed, i)))``, so results are
-bit-identical for a given (config, seed) regardless of worker count or
-episode scheduling.  Within an episode all randomness is drawn up front in a
-fixed order (true state, trader types, signals, noise actions), which also
-lets the two market modes share identical draws in comparisons.
+bit-identical for a given (config, seed) regardless of episode scheduling.
+Within an episode all randomness is drawn up front in a fixed order (true
+state, trader types, signals, noise actions), which also lets the two market
+modes share identical draws in comparisons.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .engine import (
-    detect_cascade,
-    initial_market_state,
-    step_market,
-    transaction_price,
-)
+from .engine import quote_core
 from .errors import ConfigInvalid
 from .model import (
-    ACTIONS,
     Belief,
     SignalStructure,
+    _action_likelihood,
+    _check_weights,
+    _eta_value,
+    _normalized,
     bayes_posterior,
     expectation,
 )
@@ -40,30 +36,16 @@ __all__ = [
     "StateBreakdown",
     "MonteCarloSummary",
     "ModeComparison",
-    "RngContract",
     "run_private_episode",
     "run_public_episode",
     "run_episodes",
     "run_monte_carlo",
     "summarize_episodes",
     "compare_modes",
-    "worker_count",
 ]
 
 PRIVATE = "private"
 PUBLIC = "public"
-
-THREADS_ENV_VAR = "MARKET_LEARN_THREADS"
-
-
-@dataclass(frozen=True)
-class RngContract:
-    """Derivation rule for per-episode random streams."""
-
-    seed: int
-
-    def episode_rng(self, episode_index: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, episode_index)))
 
 
 @dataclass(frozen=True)
@@ -98,10 +80,6 @@ class ScenarioConfig:
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
-
-    @property
-    def rng_contract(self) -> RngContract:
-        return RngContract(self.seed)
 
 
 @dataclass(frozen=True)
@@ -167,13 +145,17 @@ class ModeComparison:
 
     ``nesting_ok`` reports the empirical containment check: the public-signal
     market should learn at least as often as the private one, up to ``slack``
-    of Monte Carlo noise.
+    of Monte Carlo noise.  ``private_episodes`` and ``public_episodes`` are
+    the episodes the summaries were built from; :meth:`as_dict` leaves them
+    out.
     """
 
     private: MonteCarloSummary
     public: MonteCarloSummary
     slack: float
     nesting_ok: bool
+    private_episodes: list = field(repr=False)
+    public_episodes: list = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -192,7 +174,8 @@ class _EpisodeDraws:
     noise_actions: np.ndarray  # 0/1/2 -> B/S/NT per period
 
 
-def _draw_episode(config: ScenarioConfig, rng: np.random.Generator) -> _EpisodeDraws:
+def _draw_episode(config: ScenarioConfig, episode_index: int) -> _EpisodeDraws:
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
     n = config.structure.n_states
     t = config.horizon
     if config.true_state is None:
@@ -210,38 +193,48 @@ def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRe
     uniformly or an informed trader acts on her signal's partition class;
     the market maker updates the public belief from the action alone.
 
-    Once the partition is all-no-trade nothing can move the belief or the
-    price (every action likelihood is state-independent), so the remaining
-    path is filled as constant.
+    The loop carries plain weights through :func:`quote_core`, matching
+    :func:`solve_quotes` plus :func:`update_public_belief_on_action` bit for
+    bit.  Once the partition is all-no-trade nothing can move the belief or
+    the price (every action likelihood is state-independent), so the
+    remaining path is filled as constant.
     """
-    rng = config.rng_contract.episode_rng(episode_index)
-    draws = _draw_episode(config, rng)
-    structure, eta = config.structure, config.eta
+    draws = _draw_episode(config, episode_index)
+    structure, e = config.structure, _eta_value(config.eta)
     t_max = config.horizon
 
-    state = initial_market_state(config.prior, structure, eta)
-    price = expectation(structure.states, config.prior)
+    w = config.prior.weights
+    bid, ask, buy, sell = quote_core(w, structure, e)
+    price = float(structure.states.values @ w)
     prices = np.empty(t_max + 1)
     beliefs = np.empty((t_max + 1, structure.n_states))
     prices[0] = price
-    beliefs[0] = state.belief.weights
-    cascade_time: Optional[int] = 0 if detect_cascade(state.partition) else None
+    beliefs[0] = w
 
-    for t in range(t_max):
-        if cascade_time is not None:
-            prices[t + 1:] = price
-            beliefs[t + 1:] = state.belief.weights
-            break
+    t = 0
+    while t < t_max and (buy.size or sell.size):
+        # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
         if draws.informative[t]:
-            action = state.partition.action_of_index(int(draws.signals[t]))
+            j = draws.signals[t]
+            action = 0 if j in buy else 1 if j in sell else 2
         else:
-            action = ACTIONS[int(draws.noise_actions[t])]
-        price = transaction_price(state.quotes, action, price)
-        state = step_market(state, structure, eta, action)
-        prices[t + 1] = price
-        beliefs[t + 1] = state.belief.weights
-        if detect_cascade(state.partition):
-            cascade_time = state.period
+            action = draws.noise_actions[t]
+        if action == 0:
+            price, signals = ask, buy
+        elif action == 1:
+            price, signals = bid, sell
+        else:
+            no_trade = np.ones(structure.n_signals, dtype=bool)
+            no_trade[buy] = no_trade[sell] = False
+            signals = np.flatnonzero(no_trade)
+        w = _normalized(w * _action_likelihood(structure, signals, e))
+        _check_weights(w)
+        bid, ask, buy, sell = quote_core(w, structure, e)
+        t += 1
+        prices[t] = price
+        beliefs[t] = w
+    prices[t + 1:] = price
+    beliefs[t + 1:] = w
 
     return EpisodeResult(
         episode=episode_index,
@@ -250,8 +243,8 @@ def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRe
         true_value=float(structure.states.values[draws.true_state]),
         price_path=prices,
         belief_path=beliefs,
-        cascade_time=cascade_time,
-        final_belief_on_truth=float(state.belief.weights[draws.true_state]),
+        cascade_time=None if buy.size or sell.size else t,
+        final_belief_on_truth=float(w[draws.true_state]),
     )
 
 
@@ -259,8 +252,7 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     """One public-signal episode: informative periods reveal the signal to
     everyone and the public belief updates by Bayes rule; noise periods leave
     it untouched.  The price is the current expectation and nobody trades."""
-    rng = config.rng_contract.episode_rng(episode_index)
-    draws = _draw_episode(config, rng)
+    draws = _draw_episode(config, episode_index)
     structure = config.structure
     t_max = config.horizon
 
@@ -288,35 +280,10 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     )
 
 
-def _run_one(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
-    if config.mode == PRIVATE:
-        return run_private_episode(config, episode_index)
-    return run_public_episode(config, episode_index)
-
-
-def worker_count(requested: Optional[int] = None) -> int:
-    """Effective parallelism: the requested count capped by the
-    MARKET_LEARN_THREADS environment variable (default 1)."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    cap_value = max(1, int(cap)) if cap else None
-    if requested is None:
-        requested = cap_value if cap_value is not None else 1
-    return max(1, min(requested, cap_value) if cap_value is not None else requested)
-
-
-def run_episodes(config: ScenarioConfig, workers: Optional[int] = None) -> list[EpisodeResult]:
-    """All episodes of the scenario, in episode order.
-
-    Episodes own independent random streams, so any worker count produces
-    identical results.
-    """
-    count = worker_count(workers)
-    indices = range(config.episodes)
-    if count <= 1 or config.episodes == 1:
-        return [_run_one(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        chunk = max(1, config.episodes // (count * 4))
-        return list(pool.map(_run_one, [config] * config.episodes, indices, chunksize=chunk))
+def run_episodes(config: ScenarioConfig) -> list[EpisodeResult]:
+    """All episodes of the scenario, in episode order."""
+    run = run_private_episode if config.mode == PRIVATE else run_public_episode
+    return [run(config, i) for i in range(config.episodes)]
 
 
 def summarize_episodes(results: list[EpisodeResult], config: ScenarioConfig) -> MonteCarloSummary:
@@ -352,16 +319,19 @@ def summarize_episodes(results: list[EpisodeResult], config: ScenarioConfig) -> 
     )
 
 
-def run_monte_carlo(config: ScenarioConfig, workers: Optional[int] = None) -> MonteCarloSummary:
-    return summarize_episodes(run_episodes(config, workers=workers), config)
+def run_monte_carlo(config: ScenarioConfig) -> MonteCarloSummary:
+    return summarize_episodes(run_episodes(config), config)
 
 
-def compare_modes(config: ScenarioConfig, slack: float = 0.05, workers: Optional[int] = None) -> ModeComparison:
+def compare_modes(config: ScenarioConfig, slack: float = 0.05) -> ModeComparison:
     """Run both market modes on identical per-episode draws (same true
     state, same trader types, same signal stream) and compare summaries."""
     private_cfg = config.with_overrides(mode=PRIVATE)
     public_cfg = config.with_overrides(mode=PUBLIC)
-    private = run_monte_carlo(private_cfg, workers=workers)
-    public = run_monte_carlo(public_cfg, workers=workers)
+    private_episodes = run_episodes(private_cfg)
+    public_episodes = run_episodes(public_cfg)
+    private = summarize_episodes(private_episodes, private_cfg)
+    public = summarize_episodes(public_episodes, public_cfg)
     nesting_ok = public.learned_fraction >= private.learned_fraction - slack
-    return ModeComparison(private=private, public=public, slack=slack, nesting_ok=nesting_ok)
+    return ModeComparison(private=private, public=public, slack=slack, nesting_ok=nesting_ok,
+                          private_episodes=private_episodes, public_episodes=public_episodes)

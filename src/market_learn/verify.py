@@ -210,7 +210,7 @@ def check_limit_support_3state(
     config = ScenarioConfig(
         structure=structure,
         prior=Belief.uniform(structure.n_states),
-        eta=float(eta.eta) if hasattr(eta, "eta") else float(eta),
+        eta=float(eta),
         mode=PRIVATE,
         horizon=horizon,
         episodes=trials,

@@ -21,7 +21,6 @@ from market_learn import (
     StateSpace,
     bayes_posterior,
     expectation,
-    detect_cascade,
     find_cascade_beliefs,
     four_state_cascade,
     is_mlrp,
@@ -79,7 +78,7 @@ def test_criterion_1_four_state_exact_reproduction():
         assert expectation(structure.states, uniform) == pytest.approx(1.5, abs=1e-12)
 
         _, partition = solve_quotes(uniform, structure, 0.5)
-        assert detect_cascade(partition)
+        assert partition.all_no_trade
 
         for seed, horizon in ((0, 50), (123, 400), (9999, 1500)):
             config = ScenarioConfig(

@@ -118,6 +118,18 @@ def test_simulate_writes_csv_and_summary(capsys, binary_file, tmp_path):
     assert (out_dir / "scenario_used.json").exists()
 
 
+def test_simulate_csv_true_state_is_a_state_index(capsys, tmp_path):
+    doc = json.loads(json.dumps(BINARY_SCENARIO))
+    doc["structure"]["states"] = [10.0, 20.0]
+    scenario = tmp_path / "shifted.json"
+    scenario.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--output", str(out_dir))
+    assert code == 0
+    rows = (out_dir / "episodes.csv").read_text().strip().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} <= {"0", "1"}
+
+
 def test_simulate_outputs_are_byte_identical_across_runs(capsys, binary_file, tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for out_dir in dirs:

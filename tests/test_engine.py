@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from market_learn import (
+    ACTIONS,
     Belief,
-    Quotes,
+    ScenarioConfig,
     SignalSpace,
     SignalStructure,
     StateSpace,
     binary_symmetric,
-    detect_cascade,
     expectation,
     four_state_cascade,
-    informative_action,
     initial_market_state,
     posterior_values,
+    random_belief,
+    random_structure,
+    run_private_episode,
     solve_quotes,
-    step_market,
-    transaction_price,
+    three_state_informative,
+    update_public_belief_on_action,
 )
 from market_learn.engine import BOUNDARY_BAND
 
@@ -64,12 +66,26 @@ def zero_profit_residual(belief, structure, eta, quote, signal_set):
 # ---------------------------------------------------------------- decision rule
 
 def test_informative_action_strict_inequalities():
-    quotes = Quotes(bid=0.32, ask=0.68)
-    assert informative_action(0.8, quotes) == "B"
-    assert informative_action(0.2, quotes) == "S"
-    assert informative_action(0.68, quotes) == "NT"
-    assert informative_action(0.32, quotes) == "NT"
-    assert informative_action(0.5, quotes) == "NT"
+    # informed traders buy strictly above the ask, sell strictly below the
+    # bid and otherwise abstain; the partition solve_quotes returns encodes
+    # exactly that rule
+    structure = three_state_informative()
+    quotes, partition = solve_quotes(Belief.uniform(3), structure, 0.5)
+    values = posterior_values(Belief.uniform(3), structure)
+    assert values[1] == pytest.approx(1.0, abs=1e-12)  # "m" leaves the expectation unchanged
+    assert partition.assignment(structure.signals) == {"l": "S", "m": "NT", "h": "B"}
+    assert values[0] < quotes.bid < values[1] < quotes.ask < values[2]
+
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        structure = random_structure(rng)
+        belief = random_belief(rng, structure.n_states)
+        quotes, partition = solve_quotes(belief, structure, float(rng.uniform(0.05, 0.95)))
+        values = posterior_values(belief, structure)
+        assert all(values[j] > quotes.ask for j in partition.buy)
+        assert all(values[j] < quotes.bid for j in partition.sell)
+        for j in partition.no_trade:
+            assert quotes.bid - BOUNDARY_BAND <= values[j] <= quotes.ask + BOUNDARY_BAND
 
 
 # ---------------------------------------------------------------- quote solving
@@ -82,7 +98,7 @@ def test_binary_quotes_match_hand_solution():
     assert quotes.ask == pytest.approx(0.68, abs=1e-12)
     assert quotes.bid == pytest.approx(0.32, abs=1e-12)
     assert partition.assignment(structure.signals) == {"h": "B", "l": "S"}
-    assert not detect_cascade(partition)
+    assert not partition.all_no_trade
 
 
 def test_four_state_uniform_collapses_to_no_trade():
@@ -91,7 +107,6 @@ def test_four_state_uniform_collapses_to_no_trade():
     assert quotes.ask == pytest.approx(1.5, abs=1e-12)
     assert quotes.bid == pytest.approx(1.5, abs=1e-12)
     assert partition.all_no_trade
-    assert detect_cascade(partition)
 
 
 def test_quotes_pure_noise_collapse_to_expectation():
@@ -169,21 +184,60 @@ def test_resolving_is_bit_identical():
 
 # ---------------------------------------------------------------- stepping
 
+def reference_step(state, structure, eta, action, price):
+    """One period from the scalar pieces: the trade prints at the ask on a
+    buy, at the bid on a sell and at the previous price otherwise; then the
+    public belief updates on the action and the quotes are solved afresh."""
+    price = {"B": state.quotes.ask, "S": state.quotes.bid, "NT": price}[action]
+    belief = update_public_belief_on_action(state.belief, structure, state.partition, eta, action)
+    return initial_market_state(belief, structure, eta), price
+
+
+def reference_episode(config, episode_index):
+    """run_private_episode rebuilt from solve_quotes, the Bayes update on
+    actions and the price rule, with the draws of the documented contract."""
+    structure = config.structure
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
+    if config.true_state is None:
+        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
+    else:
+        true_state = config.true_state
+    informative = rng.random(config.horizon) >= config.eta
+    signals = rng.choice(structure.n_signals, size=config.horizon, p=structure.likelihood[true_state])
+    noise_actions = rng.integers(0, 3, size=config.horizon)
+
+    state = initial_market_state(config.prior, structure, config.eta)
+    price = expectation(structure.states, config.prior)
+    prices, beliefs = [price], [state.belief.weights]
+    cascade_time = 0 if state.partition.all_no_trade else None
+    for t in range(config.horizon):
+        if cascade_time is None:
+            if informative[t]:
+                action = state.partition.action_of_index(int(signals[t]))
+            else:
+                action = ACTIONS[int(noise_actions[t])]
+            state, price = reference_step(state, structure, config.eta, action, price)
+            if state.partition.all_no_trade:
+                cascade_time = t + 1
+        prices.append(price)
+        beliefs.append(state.belief.weights)
+    return true_state, np.array(prices), np.array(beliefs), cascade_time
+
+
 def test_step_on_buy_binary_example():
     structure = binary_symmetric(0.8)
     state = initial_market_state(Belief.uniform(2), structure, 0.5)
-    price = transaction_price(state.quotes, "B", expectation(structure.states, state.belief))
-    next_state = step_market(state, structure, 0.5, "B")
+    next_state, price = reference_step(state, structure, 0.5, "B", expectation(structure.states, state.belief))
     assert price == pytest.approx(0.68, abs=1e-12)
     np.testing.assert_allclose(next_state.belief.weights, [0.32, 0.68], atol=1e-12)
-    assert next_state.period == 1
 
 
 def test_step_no_trade_with_empty_no_trade_set_is_inert():
     structure = binary_symmetric(0.8)
     state = initial_market_state(Belief.uniform(2), structure, 0.5)
     assert state.partition.no_trade == ()
-    next_state = step_market(state, structure, 0.5, "NT")
+    next_state, price = reference_step(state, structure, 0.5, "NT", 0.5)
+    assert price == 0.5
     np.testing.assert_allclose(next_state.belief.weights, state.belief.weights, atol=1e-15)
     assert next_state.quotes.ask == pytest.approx(state.quotes.ask, abs=1e-12)
     assert next_state.quotes.bid == pytest.approx(state.quotes.bid, abs=1e-12)
@@ -193,17 +247,50 @@ def test_step_in_cascade_state_changes_nothing():
     structure = four_state_cascade()
     state = initial_market_state(Belief.uniform(4), structure, 0.5)
     for action in ("B", "S", "NT"):
-        stepped = step_market(state, structure, 0.5, action)
+        stepped, price = reference_step(state, structure, 0.5, action, 1.5)
         np.testing.assert_allclose(stepped.belief.weights, 0.25, atol=1e-14)
         assert stepped.quotes.ask == pytest.approx(1.5, abs=1e-12)
-        assert detect_cascade(stepped.partition)
+        assert price == pytest.approx(1.5, abs=1e-12)
+        assert stepped.partition.all_no_trade
 
 
 def test_transaction_price_rules():
-    quotes = Quotes(bid=0.3, ask=0.7)
-    assert transaction_price(quotes, "B", 0.5) == 0.7
-    assert transaction_price(quotes, "S", 0.5) == 0.3
-    assert transaction_price(quotes, "NT", 0.5) == 0.5
+    structure = binary_symmetric(0.8)
+    state = initial_market_state(Belief(np.array([0.4, 0.6])), structure, 0.5)
+    assert state.quotes.bid < state.quotes.ask
+    for action, expected in (("B", state.quotes.ask), ("S", state.quotes.bid), ("NT", 0.55)):
+        _, price = reference_step(state, structure, 0.5, action, 0.55)
+        assert price == expected
+
+
+def _assert_episode_matches_reference(config, episode_index):
+    true_state, prices, beliefs, cascade_time = reference_episode(config, episode_index)
+    result = run_private_episode(config, episode_index)
+    assert result.true_state == true_state
+    np.testing.assert_array_equal(result.price_path, prices)
+    np.testing.assert_array_equal(result.belief_path, beliefs)
+    assert result.cascade_time == cascade_time
+    assert result.final_belief_on_truth == beliefs[-1][true_state]
+
+
+@pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
+def test_private_episode_matches_scalar_reference_on_presets(preset):
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
+                            mode="private", horizon=400, episodes=3, seed=21)
+    for i in range(config.episodes):
+        _assert_episode_matches_reference(config, i)
+
+
+def test_private_episode_matches_scalar_reference_on_random_structures():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        structure = random_structure(rng)
+        config = ScenarioConfig(structure=structure, prior=random_belief(rng, structure.n_states),
+                                eta=float(rng.uniform(0.05, 0.95)), mode="private",
+                                horizon=300, episodes=2, seed=int(rng.integers(1000)))
+        for i in range(config.episodes):
+            _assert_episode_matches_reference(config, i)
 
 
 def test_one_step_price_martingale_on_random_states():
@@ -211,7 +298,7 @@ def test_one_step_price_martingale_on_random_states():
     # stepped beliefs so the identity is the plain tower property
     rng = np.random.default_rng(11)
     structure = four_state_cascade()
-    from market_learn import ACTIONS, action_likelihood_vector, update_public_belief_on_action
+    from market_learn import action_likelihood_vector
 
     for _ in range(50):
         belief = Belief.from_unnormalized(rng.dirichlet(np.ones(4)) + 1e-3)

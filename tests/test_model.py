@@ -8,14 +8,12 @@ from market_learn import (
     EmptySignalSet,
     InvalidBelief,
     NonPositiveDensity,
-    NoiseRate,
     RowSumInvalid,
     SignalPartition,
     SignalSpace,
     SignalStructure,
     StateSpace,
     UnknownSignal,
-    action_likelihood,
     action_likelihood_vector,
     bayes_posterior,
     bayes_posterior_set,
@@ -93,10 +91,13 @@ def test_belief_invariants():
 
 
 def test_noise_rate_bounds():
-    NoiseRate(0.0)
-    NoiseRate(1.0)
-    with pytest.raises(InvalidBelief):
-        NoiseRate(1.5)
+    structure = binary_symmetric()
+    partition = SignalPartition(2, buy=(1,), sell=(0,))
+    action_likelihood_vector(structure, partition, 0.0, "B")
+    action_likelihood_vector(structure, partition, 1.0, "B")
+    for eta in (1.5, -0.1, float("nan")):
+        with pytest.raises(InvalidBelief):
+            action_likelihood_vector(structure, partition, eta, "B")
 
 
 # ---------------------------------------------------------------- posterior updates
@@ -203,21 +204,21 @@ def test_action_likelihood_pure_noise_is_uniform():
     partition = SignalPartition(2, buy=(1,), sell=(0,))
     for action in ACTIONS:
         for state in (0, 1):
-            assert action_likelihood(structure, partition, 1.0, action, state) == pytest.approx(1 / 3)
+            assert action_likelihood_vector(structure, partition, 1.0, action)[state] == pytest.approx(1 / 3)
 
 
 def test_action_likelihood_mixed_arithmetic():
     # eta=0.5 and f(S^B|w)=0.8 gives 0.5/3 + 0.5*0.8
     structure = binary_symmetric(0.8)
     partition = SignalPartition(2, buy=(1,), sell=(0,))
-    value = action_likelihood(structure, partition, 0.5, "B", 1)
+    value = action_likelihood_vector(structure, partition, 0.5, "B")[1]
     assert value == pytest.approx(0.5 / 3 + 0.5 * 0.8, abs=1e-15)
 
 
 def test_action_likelihood_informed_whole_space():
     structure = binary_symmetric()
     partition = SignalPartition(2, buy=(0, 1), sell=())
-    assert action_likelihood(structure, partition, 0.0, "B", 0) == pytest.approx(1.0)
+    assert action_likelihood_vector(structure, partition, 0.0, "B")[0] == pytest.approx(1.0)
 
 
 def test_action_likelihoods_sum_to_one():
@@ -232,7 +233,7 @@ def test_action_likelihoods_sum_to_one():
         )
         eta = float(rng.uniform(0, 1))
         for state in range(4):
-            total = sum(action_likelihood(structure, partition, eta, a, state) for a in ACTIONS)
+            total = sum(action_likelihood_vector(structure, partition, eta, a)[state] for a in ACTIONS)
             assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -4,7 +4,6 @@ import pytest
 from market_learn import (
     Belief,
     ConfigInvalid,
-    RngContract,
     ScenarioConfig,
     SignalSpace,
     SignalStructure,
@@ -66,12 +65,10 @@ def test_config_rejects_bad_inputs():
 # ---------------------------------------------------------------- determinism
 
 def test_rng_contract_is_deterministic():
-    contract = RngContract(seed=7)
-    a = contract.episode_rng(3).random(5)
-    b = contract.episode_rng(3).random(5)
-    np.testing.assert_array_equal(a, b)
-    c = contract.episode_rng(4).random(5)
-    assert not np.array_equal(a, c)
+    config = binary_config(mode="public", horizon=50)
+    a, b, c = (run_public_episode(config, i) for i in (3, 3, 4))
+    np.testing.assert_array_equal(a.belief_path, b.belief_path)
+    assert not np.array_equal(a.belief_path, c.belief_path)
 
 
 @pytest.mark.parametrize("mode", ["private", "public"])
@@ -84,17 +81,6 @@ def test_episodes_are_reproducible(mode):
     np.testing.assert_array_equal(r1.belief_path, r2.belief_path)
     assert r1.true_state == r2.true_state
     assert r1.cascade_time == r2.cascade_time
-
-
-def test_worker_count_does_not_change_results(monkeypatch):
-    config = binary_config(episodes=6, horizon=60)
-    serial = run_episodes(config, workers=1)
-    monkeypatch.setenv("MARKET_LEARN_THREADS", "2")
-    parallel = run_episodes(config, workers=2)
-    for a, b in zip(serial, parallel):
-        np.testing.assert_array_equal(a.price_path, b.price_path)
-        np.testing.assert_array_equal(a.belief_path, b.belief_path)
-        assert a.true_state == b.true_state
 
 
 # ---------------------------------------------------------------- private mode
@@ -229,10 +215,12 @@ def test_per_state_breakdown_covers_all_episodes():
 
 def test_compare_modes_shares_episode_draws():
     config = binary_config(episodes=6, horizon=80)
-    private = run_episodes(config.with_overrides(mode="private"))
-    public = run_episodes(config.with_overrides(mode="public"))
-    for a, b in zip(private, public):
+    comparison = compare_modes(config)
+    assert len(comparison.private_episodes) == len(comparison.public_episodes) == 6
+    for a, b in zip(comparison.private_episodes, comparison.public_episodes):
+        assert (a.mode, b.mode) == ("private", "public")
         assert a.true_state == b.true_state
+    assert set(comparison.as_dict()) == {"private", "public", "slack", "nesting_ok"}
 
 
 def test_compare_modes_pure_noise_is_symmetric():
