@@ -173,6 +173,69 @@ def test_public_mode_learns_four_state_structure():
     assert good >= 18
 
 
+def reference_public_episode(config, episode_index):
+    """run_public_episode rebuilt from bayes_posterior and expectation, with
+    the draws of the documented contract."""
+    from market_learn.model import bayes_posterior, expectation
+
+    structure = config.structure
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
+    if config.true_state is None:
+        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
+    else:
+        true_state = config.true_state
+    informative = rng.random(config.horizon) >= config.eta
+    signals = rng.choice(structure.n_signals, size=config.horizon, p=structure.likelihood[true_state])
+
+    belief = config.prior
+    prices, beliefs = [expectation(structure.states, belief)], [belief.weights]
+    for t in range(config.horizon):
+        if informative[t]:
+            belief = bayes_posterior(belief, structure, structure.signals.labels[int(signals[t])])
+        prices.append(expectation(structure.states, belief))
+        beliefs.append(belief.weights)
+    return true_state, np.array(prices), np.array(beliefs)
+
+
+def _assert_public_episode_matches_reference(config, episode_index):
+    true_state, prices, beliefs = reference_public_episode(config, episode_index)
+    result = run_public_episode(config, episode_index)
+    assert result.true_state == true_state
+    np.testing.assert_array_equal(result.price_path, prices)
+    np.testing.assert_array_equal(result.belief_path, beliefs)
+    assert result.cascade_time is None
+    assert result.final_belief_on_truth == beliefs[-1][true_state]
+
+
+@pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
+def test_public_episode_matches_scalar_reference_on_presets(preset):
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
+                            mode="public", horizon=400, episodes=3, seed=21)
+    for i in range(config.episodes):
+        _assert_public_episode_matches_reference(config, i)
+
+
+def test_public_episode_matches_scalar_reference_on_duplicated_states():
+    config = ScenarioConfig(structure=DUPLICATED_ROWS, prior=Belief(np.array([0.2, 0.5, 0.3])),
+                            eta=0.5, mode="public", horizon=600, episodes=4, seed=502)
+    for i in range(config.episodes):
+        _assert_public_episode_matches_reference(config, i)
+
+
+def test_public_episode_matches_scalar_reference_on_random_structures():
+    from market_learn.verify import random_belief, random_structure
+
+    rng = np.random.default_rng(2025)
+    for _ in range(30):
+        structure = random_structure(rng)
+        config = ScenarioConfig(structure=structure, prior=random_belief(rng, structure.n_states),
+                                eta=float(rng.uniform(0.05, 0.95)), mode="public",
+                                horizon=300, episodes=2, seed=int(rng.integers(1000)))
+        for i in range(config.episodes):
+            _assert_public_episode_matches_reference(config, i)
+
+
 # ---------------------------------------------------------------- summaries
 
 def test_single_episode_summary_matches_indicators():

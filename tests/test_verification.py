@@ -230,3 +230,41 @@ def test_martingale_suite_small_run_passes():
     for report in reports:
         assert report.passed, report.as_dict()
         assert report.witness["trials"] == 50
+
+
+@pytest.mark.parametrize("seed, structure, eta", [
+    (3, None, None),
+    (5, three_state_informative(), 0.5),
+    (8, four_state_cascade(), None),
+    (13, ASYMMETRIC_MIDDLE, 0.3),
+])
+def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
+    # the suite's worst deviation and worst trial per identity are the
+    # running maximum (latest trial on ties) of the public checks over the
+    # same randomized states
+    from market_learn.verify import (
+        check_belief_martingale as belief,
+        check_likelihood_ratio_martingale as odds,
+        check_price_directions as directions,
+        check_price_martingale as price,
+        random_market_state as draw,
+        run_martingale_suite as suite,
+    )
+
+    trials = 150
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for trial in range(trials):
+        state, struct, e = draw(rng, structure=structure, eta=eta)
+        true_state = int(rng.integers(0, struct.n_states))
+        for report in (belief(state, struct, e), price(state, struct, e),
+                       odds(state, struct, e, true_state), directions(state, struct, e)):
+            if report.max_abs_deviation >= worst.get(report.check_name, (0.0, None))[0]:
+                worst[report.check_name] = (report.max_abs_deviation, trial)
+
+    reports = suite(trials=trials, seed=seed, structure=structure, eta=eta)
+    assert [r.check_name for r in reports] == [
+        "belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions",
+    ]
+    for report in reports:
+        assert (report.max_abs_deviation, report.witness["worst_trial"]) == worst[report.check_name]
