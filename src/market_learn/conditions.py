@@ -26,7 +26,7 @@ from scipy.linalg import eig as generalized_eig
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize_scalar
 
-from .errors import NotPairwiseInformative, OutOfHull
+from .errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
 from .model import Belief, SignalStructure, expectation, posterior_values
 
 __all__ = [
@@ -200,11 +200,6 @@ def is_mlrp(structure: SignalStructure, strict: bool = False) -> ConditionReport
     )
 
 
-def _movement(structure: SignalStructure, belief: Belief) -> float:
-    exp_val = expectation(structure.states, belief)
-    return float(np.abs(posterior_values(belief, structure) - exp_val).max())
-
-
 def is_cascade_belief(structure: SignalStructure, belief: Belief, tol: float = 1e-9) -> ConditionReport:
     """A belief is a cascade point when no signal moves the conditional
     expectation by more than ``tol``."""
@@ -363,6 +358,8 @@ def scan_cascades(
 ) -> list[CascadeBeliefSet]:
     """Probe candidate target expectations across the hull and keep every
     one whose cascade system has a nontrivial solution space."""
+    if c_points < 1:
+        raise PreconditionFailed(f"the scan needs at least one grid point, got {c_points}")
     found = []
     seen = set()
     for c in _candidate_expectations(structure, c_points):
@@ -420,9 +417,9 @@ def azc_audit(
     boundary never reaches the audit and cannot make it fail.
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise PreconditionFailed("delta must be positive")
     if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
+        raise PreconditionFailed("grid_resolution must be at least 2")
 
     n = structure.n_states
     if n <= 4:

@@ -76,10 +76,9 @@ def _greedy_side(
     exp_val: float,
     eta: float,
     sense: int,
-    band: float,
 ):
     """Grow one side of the partition while the next signal strictly beats
-    the running quote by more than ``band``.
+    the running quote by more than ``BOUNDARY_BAND``.
 
     The running quote is the conditional expectation of the value given the
     candidate set, which rises (falls) strictly below (above) each newly
@@ -93,7 +92,7 @@ def _greedy_side(
     quote = exp_val
     k = 0
     m = order.size
-    while k < m and sense * (v[order[k]] - quote) > band:
+    while k < m and sense * (v[order[k]] - quote) > BOUNDARY_BAND:
         num += informed * num_sig[order[k]]
         den += informed * f_sig[order[k]]
         quote = num / den
@@ -104,7 +103,7 @@ def _greedy_side(
 _NO_SIGNALS = np.empty(0, dtype=np.intp)
 
 
-def quote_core(w: np.ndarray, structure: SignalStructure, e: float, band: float = BOUNDARY_BAND):
+def quote_core(w: np.ndarray, structure: SignalStructure, e: float):
     """Array core of :func:`solve_quotes` for belief weights ``w`` and a
     noise rate ``e`` already checked to lie in [0, 1].
 
@@ -127,8 +126,8 @@ def quote_core(w: np.ndarray, structure: SignalStructure, e: float, band: float 
 
     order_desc = np.argsort(-v, kind="stable")
     order_asc = np.argsort(v, kind="stable")
-    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1, band)
-    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1, band)
+    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1)
+    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1)
 
     buy, sell = order_desc[:k_buy], order_asc[:k_sell]
     if set(buy.tolist()) & set(sell.tolist()):
@@ -162,7 +161,6 @@ def solve_quotes(
     belief: Belief,
     structure: SignalStructure,
     eta,
-    band: float = BOUNDARY_BAND,
 ) -> tuple[Quotes, SignalPartition]:
     """Solve the jointly consistent zero-profit quotes and signal partition.
 
@@ -182,9 +180,9 @@ def solve_quotes(
     -------
     (Quotes, SignalPartition)
         The partition's buy/sell sets are exactly the signals strictly
-        beyond the returned quotes (up to ``band``).
+        beyond the returned quotes (up to ``BOUNDARY_BAND``).
     """
-    bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta), band)
+    bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta))
     return Quotes(bid=bid, ask=ask), SignalPartition(structure.n_signals, buy=buy, sell=sell)
 
 

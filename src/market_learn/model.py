@@ -294,12 +294,7 @@ def validate_structure(structure: SignalStructure) -> None:
 def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belief:
     """Posterior after observing one signal: mu'(w) = mu(w) f(s|w) / normalizer."""
     j = structure.signals.index(signal)
-    return _posterior_by_index(belief, structure, j)
-
-
-def _posterior_by_index(belief: Belief, structure: SignalStructure, j: int) -> Belief:
-    raw = belief.weights * structure.likelihood[:, j]
-    return Belief.from_unnormalized(raw)
+    return Belief.from_unnormalized(belief.weights * structure.likelihood[:, j])
 
 
 def bayes_posterior_set(belief: Belief, structure: SignalStructure, signal_set: Iterable) -> Belief:

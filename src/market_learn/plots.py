@@ -22,6 +22,7 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
+_MAX_SERIES = 50
 
 
 def _fmt(x: float) -> str:
@@ -120,13 +121,13 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
     return out
 
 
-def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10, max_series: int = 50) -> dict:
+def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> dict:
     """Write the standard chart set for a batch of episode results.
 
     Produces a price-path overlay, the belief-on-the-true-state trajectories,
     and the learned fraction as a function of the horizon.  Paths are thinned
-    to every ``thin``-th period and overlays capped at ``max_series``
-    episodes to bound file sizes.
+    to every ``thin``-th period and overlays capped at the first
+    ``_MAX_SERIES`` episodes to bound file sizes.
     """
     results = list(results)
     if not results:
@@ -138,7 +139,7 @@ def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10, m
     horizon = len(results[0].price_path) - 1
     ts = np.arange(0, horizon + 1, thin)
 
-    shown = results[:max_series]
+    shown = results[:_MAX_SERIES]
     price_series = [(ts, r.price_path[::thin]) for r in shown]
     belief_series = [(ts, r.belief_path[::thin, r.true_state]) for r in shown]
 

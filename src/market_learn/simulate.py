@@ -24,8 +24,6 @@ from .model import (
     _check_weights,
     _eta_value,
     _normalized,
-    bayes_posterior,
-    expectation,
 )
 
 __all__ = [
@@ -251,32 +249,46 @@ def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRe
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
     """One public-signal episode: informative periods reveal the signal to
     everyone and the public belief updates by Bayes rule; noise periods leave
-    it untouched.  The price is the current expectation and nobody trades."""
+    it untouched.  The price is the current expectation and nobody trades.
+
+    The loop carries plain weights, matching :func:`bayes_posterior` plus
+    :func:`expectation` bit for bit.  Each informative period multiplies the
+    weights by the signal's likelihood column and renormalizes, raising
+    :class:`InvalidBelief` when the normalizer is not finite and positive or
+    the new weights are not finite, nonnegative and summing to 1 within
+    ``PROB_SUM_TOL``; a noise period repeats the previous belief and price.
+    """
     draws = _draw_episode(config, episode_index)
     structure = config.structure
+    values = structure.states.values
     t_max = config.horizon
 
-    belief = config.prior
+    w = config.prior.weights
+    price = float(values @ w)
     prices = np.empty(t_max + 1)
     beliefs = np.empty((t_max + 1, structure.n_states))
-    prices[0] = expectation(structure.states, belief)
-    beliefs[0] = belief.weights
+    prices[0] = price
+    beliefs[0] = w
 
     for t in range(t_max):
         if draws.informative[t]:
-            belief = bayes_posterior(belief, structure, structure.signals.labels[int(draws.signals[t])])
-        prices[t + 1] = expectation(structure.states, belief)
-        beliefs[t + 1] = belief.weights
+            w = _normalized(w * structure.likelihood[:, draws.signals[t]])
+            _check_weights(w)
+            # a 1-D dot per step: ``beliefs @ values`` after the loop does
+            # not round the same way
+            price = float(values @ w)
+        prices[t + 1] = price
+        beliefs[t + 1] = w
 
     return EpisodeResult(
         episode=episode_index,
         mode=PUBLIC,
         true_state=draws.true_state,
-        true_value=float(structure.states.values[draws.true_state]),
+        true_value=float(values[draws.true_state]),
         price_path=prices,
         belief_path=beliefs,
         cascade_time=None,
-        final_belief_on_truth=float(belief.weights[draws.true_state]),
+        final_belief_on_truth=float(w[draws.true_state]),
     )
 
 

@@ -25,8 +25,10 @@ from .model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
-    action_likelihood_vector,
-    expectation,
+    _action_likelihood,
+    _check_weights,
+    _eta_value,
+    _normalized,
 )
 from .simulate import PRIVATE, ScenarioConfig, run_private_episode
 
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 ONE_STEP_TOL = 1e-10
+
+# Share of long runs that must end near a belief vertex in
+# :func:`check_limit_support_3state`.
+MIN_PASS_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,83 @@ def _report(name, deviation, tol, witness=None, detail=""):
     )
 
 
-def _action_mix(state: MarketState, structure: SignalStructure, eta):
-    """Per action: (probability of the action, stepped belief)."""
-    mix = []
+def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: float,
+                      true_state: Optional[int] = None) -> dict:
+    """The one-step identities from one pass over the three actions, on plain
+    weight arrays; the likelihood-ratio identity only when ``true_state`` is
+    given.  Keyed by check name, in the order the suite reports them."""
+    w = state.belief.weights
+    if true_state is not None and w[true_state] <= 0.0:
+        raise DegenerateBelief(f"belief places zero weight on state index {true_state}")
+    e = _eta_value(eta)
+    values = structure.states.values
+    partition, quotes = state.partition, state.quotes
+    exp_val = float(values @ w)
+
+    mixed_belief = np.zeros(structure.n_states)
+    mixed_price = 0.0
+    mixed_lam = 0.0
+    quote_gap = 0.0
+    violation = 0.0
+    conditional = {}
     for action in ACTIONS:
-        like = action_likelihood_vector(structure, state.partition, eta, action)
-        prob = float(state.belief.weights @ like)
-        stepped = Belief.from_unnormalized(state.belief.weights * like)
-        mix.append((action, prob, like, stepped))
-    return mix
+        like = _action_likelihood(structure, partition.indices_for(action), e)
+        prob = float(w @ like)
+        stepped = _normalized(w * like)
+        _check_weights(stepped)
+        cond = float(values @ stepped)
+        conditional[action] = cond
+        mixed_belief += prob * stepped
+        mixed_price += prob * cond
+        if action == BUY and partition.buy:
+            quote_gap = max(quote_gap, abs(cond - quotes.ask))
+            violation = max(violation, exp_val - cond)  # must be strictly below zero
+        elif action == SELL and partition.sell:
+            quote_gap = max(quote_gap, abs(cond - quotes.bid))
+            violation = max(violation, cond - exp_val)
+        elif action == NO_TRADE and float(like.max() - like.min()) <= 1e-12:
+            violation = max(violation, abs(cond - exp_val))
+        if true_state is not None:
+            w_next = stepped[true_state]
+            lam_next = float((1.0 - w_next) / w_next) if w_next > 0 else np.inf
+            mixed_lam += float(like[true_state]) * lam_next
+
+    belief_gap = np.abs(mixed_belief - w)
+    worst = int(np.argmax(belief_gap))
+    reports = {
+        "belief_martingale": _report(
+            "belief_martingale",
+            belief_gap[worst],
+            tol,
+            witness={"state_index": worst},
+            detail="sum_a P(a) mu'(w|a) compared against mu(w) over all states",
+        ),
+        "price_martingale": _report(
+            "price_martingale",
+            max(abs(mixed_price - exp_val), quote_gap),
+            tol,
+            witness={"expectation": exp_val, "mixed": mixed_price, "quote_gap": quote_gap},
+            detail="sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
+        ),
+    }
+    if true_state is not None:
+        lam = float((1.0 - w[true_state]) / w[true_state])
+        reports["likelihood_ratio_martingale"] = _report(
+            "likelihood_ratio_martingale",
+            abs(mixed_lam - lam),
+            tol,
+            witness={"lambda": lam, "mixed": mixed_lam, "true_state": true_state},
+            detail="odds of incorrect states vs the true state, averaged under the true-state action law",
+        )
+    reports["price_directions"] = _report(
+        "price_directions",
+        violation,
+        tol,
+        witness={"expectation": exp_val, "conditional": conditional},
+        detail="E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
+               "when its signal mass is state-independent",
+    )
+    return reports
 
 
 def check_belief_martingale(state: MarketState, structure: SignalStructure, eta,
@@ -95,18 +169,7 @@ def check_belief_martingale(state: MarketState, structure: SignalStructure, eta,
     """The public belief is a martingale: averaging the three possible
     next-period beliefs by their action probabilities recovers the current
     belief coordinate by coordinate."""
-    mixed = np.zeros(structure.n_states)
-    for _, prob, _, stepped in _action_mix(state, structure, eta):
-        mixed += prob * stepped.weights
-    deviation = np.abs(mixed - state.belief.weights)
-    worst = int(np.argmax(deviation))
-    return _report(
-        "belief_martingale",
-        deviation[worst],
-        tol,
-        witness={"state_index": worst},
-        detail="sum_a P(a) mu'(w|a) compared against mu(w) over all states",
-    )
+    return _one_step_reports(state, structure, eta, tol)["belief_martingale"]
 
 
 def check_price_martingale(state: MarketState, structure: SignalStructure, eta,
@@ -114,48 +177,14 @@ def check_price_martingale(state: MarketState, structure: SignalStructure, eta,
     """The expectation-price is a martingale: sum_a P(a) E[w|a] equals the
     current expectation.  On the trading branches E[w|a] coincides with the
     posted quote (zero-profit), which is asserted as part of the check."""
-    exp_val = expectation(structure.states, state.belief)
-    mixed = 0.0
-    quote_gap = 0.0
-    for action, prob, _, stepped in _action_mix(state, structure, eta):
-        cond = expectation(structure.states, stepped)
-        mixed += prob * cond
-        if action == BUY and state.partition.buy:
-            quote_gap = max(quote_gap, abs(cond - state.quotes.ask))
-        if action == SELL and state.partition.sell:
-            quote_gap = max(quote_gap, abs(cond - state.quotes.bid))
-    deviation = max(abs(mixed - exp_val), quote_gap)
-    return _report(
-        "price_martingale",
-        deviation,
-        tol,
-        witness={"expectation": exp_val, "mixed": mixed, "quote_gap": quote_gap},
-        detail="sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
-    )
+    return _one_step_reports(state, structure, eta, tol)["price_martingale"]
 
 
 def check_likelihood_ratio_martingale(state: MarketState, structure: SignalStructure, eta,
                                       true_state: int, tol: float = ONE_STEP_TOL) -> DeviationReport:
     """The wrong-over-right belief odds are a martingale under the true
     state's action law: sum_a f(a|w*) lambda'(a) equals lambda."""
-    weights = state.belief.weights
-    if weights[true_state] <= 0.0:
-        raise DegenerateBelief(f"belief places zero weight on state index {true_state}")
-    lam = float((1.0 - weights[true_state]) / weights[true_state])
-    mixed = 0.0
-    for _, _, like, stepped in _action_mix(state, structure, eta):
-        prob_true = float(like[true_state])
-        w_next = stepped.weights[true_state]
-        lam_next = float((1.0 - w_next) / w_next) if w_next > 0 else np.inf
-        mixed += prob_true * lam_next
-    deviation = abs(mixed - lam)
-    return _report(
-        "likelihood_ratio_martingale",
-        deviation,
-        tol,
-        witness={"lambda": lam, "mixed": mixed, "true_state": true_state},
-        detail="odds of incorrect states vs the true state, averaged under the true-state action law",
-    )
+    return _one_step_reports(state, structure, eta, tol, true_state)["likelihood_ratio_martingale"]
 
 
 def check_price_directions(state: MarketState, structure: SignalStructure, eta,
@@ -166,27 +195,7 @@ def check_price_directions(state: MarketState, structure: SignalStructure, eta,
     mass is state-independent (it is not in general: a state-dependent
     no-trade region carries information of its own, and then only the
     conditional-expectation identity E[w|NT,H] holds)."""
-    exp_val = expectation(structure.states, state.belief)
-    violation = 0.0
-    details = {}
-    for action, prob, like, stepped in _action_mix(state, structure, eta):
-        cond = expectation(structure.states, stepped)
-        details[action] = cond
-        if action == BUY and state.partition.buy:
-            violation = max(violation, exp_val - cond)  # must be strictly below zero
-        elif action == SELL and state.partition.sell:
-            violation = max(violation, cond - exp_val)
-        elif action == NO_TRADE:
-            if float(like.max() - like.min()) <= 1e-12:
-                violation = max(violation, abs(cond - exp_val))
-    return _report(
-        "price_directions",
-        violation,
-        tol,
-        witness={"expectation": exp_val, "conditional": details},
-        detail="E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
-               "when its signal mass is state-independent",
-    )
+    return _one_step_reports(state, structure, eta, tol)["price_directions"]
 
 
 def check_limit_support_3state(
@@ -195,13 +204,15 @@ def check_limit_support_3state(
     trials: int = 100,
     horizon: int = 3000,
     slack: float = 0.05,
-    min_pass_fraction: float = 0.95,
     seed: int = 0,
 ) -> DeviationReport:
     """Statistical surrogate for vertex convergence with at most three
     states: after a long private-signal run, every belief coordinate should
-    sit within ``slack`` of {0, 1} in at least ``min_pass_fraction`` of
-    trials.  Requires a pairwise informative structure with n <= 3."""
+    sit within ``slack`` of {0, 1} in at least ``MIN_PASS_FRACTION`` of
+    trials.  Requires a pairwise informative structure with n <= 3 and at
+    least one trial."""
+    if trials < 1:
+        raise PreconditionFailed(f"check requires at least one trial, got {trials}")
     if structure.n_states > 3:
         raise PreconditionFailed(f"check requires at most 3 states, got {structure.n_states}")
     if not is_pairwise_informative(structure).holds:
@@ -228,18 +239,18 @@ def check_limit_support_3state(
     return _report(
         "limit_support_3state",
         deviation,
-        1.0 - min_pass_fraction,
+        1.0 - MIN_PASS_FRACTION,
         witness={
             "trials": trials,
             "horizon": horizon,
             "slack": slack,
-            "min_pass_fraction": min_pass_fraction,
+            "min_pass_fraction": MIN_PASS_FRACTION,
             "fraction_near_vertex": ok_fraction,
             "worst_episode": worst,
             "worst_distance": float(distances[worst]),
         },
         detail=f"statistical check: {ok_fraction:.1%} of {trials} trials ended within "
-               f"{slack} of a belief vertex (needs >= {min_pass_fraction:.0%})",
+               f"{slack} of a belief vertex (needs >= {MIN_PASS_FRACTION:.0%})",
     )
 
 
@@ -253,11 +264,7 @@ def random_structure(rng: np.random.Generator, n_states: Optional[int] = None,
     rows = rng.dirichlet(np.ones(m), size=n)
     rows = np.maximum(rows, floor)
     rows /= rows.sum(axis=1, keepdims=True)
-    start = float(rng.uniform(-1.0, 1.0))
-    gaps = rng.uniform(0.3, 1.2, size=n - 1)
-    values = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    labels = tuple(f"s{j + 1}" for j in range(m))
-    return SignalStructure(StateSpace(values), SignalSpace(labels), rows)
+    return _on_random_value_grid(rng, rows)
 
 
 def random_belief(rng: np.random.Generator, n: int, floor: float = 1e-3) -> Belief:
@@ -277,6 +284,13 @@ def random_mlrp_structure(rng: np.random.Generator, n_states: Optional[int] = No
     x = np.cumsum(rng.uniform(0.4, 1.0, size=m))
     rows = np.exp(np.outer(theta, x))
     rows /= rows.sum(axis=1, keepdims=True)
+    return _on_random_value_grid(rng, rows)
+
+
+def _on_random_value_grid(rng: np.random.Generator, rows: np.ndarray) -> SignalStructure:
+    """The likelihood table ``rows`` over a random strictly increasing value
+    grid, with signals labelled s1, s2, ..."""
+    n, m = rows.shape
     start = float(rng.uniform(-1.0, 1.0))
     gaps = rng.uniform(0.3, 1.2, size=n - 1)
     values = start + np.concatenate([[0.0], np.cumsum(gaps)])
@@ -300,6 +314,8 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
                          tol: float = ONE_STEP_TOL) -> list[DeviationReport]:
     """Run the four one-step checks over ``trials`` randomized states and
     aggregate the worst deviation per check."""
+    if trials < 1:
+        raise PreconditionFailed(f"the suite needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     names = ["belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions"]
     worst = {name: (0.0, None) for name in names}
@@ -307,15 +323,9 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
     for trial in range(trials):
         state, struct, e = random_market_state(rng, structure=structure, eta=eta)
         true_state = int(rng.integers(0, struct.n_states))
-        reports = [
-            check_belief_martingale(state, struct, e, tol=tol),
-            check_price_martingale(state, struct, e, tol=tol),
-            check_likelihood_ratio_martingale(state, struct, e, true_state, tol=tol),
-            check_price_directions(state, struct, e, tol=tol),
-        ]
-        for report in reports:
-            if report.max_abs_deviation >= worst[report.check_name][0]:
-                worst[report.check_name] = (report.max_abs_deviation, trial)
+        for name, report in _one_step_reports(state, struct, e, tol, true_state).items():
+            if report.max_abs_deviation >= worst[name][0]:
+                worst[name] = (report.max_abs_deviation, trial)
 
     return [
         _report(

@@ -13,30 +13,31 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from market_learn import (
+from market_learn.conditions import (
+    azc_audit,
+    find_cascade_beliefs,
+    is_mlrp,
+    is_pairwise_informative,
+)
+from market_learn.engine import solve_quotes
+from market_learn.model import (
     Belief,
-    ScenarioConfig,
     SignalSpace,
     SignalStructure,
     StateSpace,
     bayes_posterior,
     expectation,
-    find_cascade_beliefs,
-    four_state_cascade,
-    is_mlrp,
-    is_pairwise_informative,
     posterior_values,
-    azc_audit,
-    random_mlrp_structure,
-    random_structure,
+)
+from market_learn.presets import four_state_cascade, three_state_informative
+from market_learn.simulate import (
+    ScenarioConfig,
     run_episodes,
-    run_martingale_suite,
     run_monte_carlo,
     run_private_episode,
     run_public_episode,
-    solve_quotes,
-    three_state_informative,
 )
+from market_learn.verify import random_mlrp_structure, random_structure, run_martingale_suite
 
 
 @contextmanager

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from market_learn import Belief, MissingResults, ScenarioConfig, binary_symmetric, emit_plots, run_episodes
 from market_learn.cli import main
+from market_learn.errors import MissingResults
+from market_learn.model import Belief
+from market_learn.plots import emit_plots
+from market_learn.presets import binary_symmetric
+from market_learn.simulate import ScenarioConfig, run_episodes
 
 FOUR_STATE_SCENARIO = {
     "structure": {
@@ -251,6 +255,20 @@ def test_invalid_structure_in_scenario_exits_one(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "check", "--scenario", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--trials", "0"),
+    ("cascade-scan", "--c-points", "0"),
+    ("cascade-scan", "--c-points", "-1"),
+])
+def test_empty_runs_exit_one(capsys, binary_file, argv):
+    # a suite of no trials or a scan of no grid points checks nothing, so it
+    # must not report success
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(binary_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -3,25 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from market_learn import (
-    Belief,
-    NotPairwiseInformative,
-    OutOfHull,
-    SignalSpace,
-    SignalStructure,
-    StateSpace,
+from market_learn.conditions import (
     azc_audit,
-    binary_symmetric,
     find_cascade_beliefs,
     find_crossing_signals,
-    four_state_cascade,
     is_cascade_belief,
     is_mlrp,
     is_pairwise_informative,
     scan_cascades,
     simplex_grid,
-    three_state_informative,
 )
+from market_learn.errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
+from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace
+from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 
 
 def make_structure(states, rows, labels=None):
@@ -199,6 +193,12 @@ def test_emitted_cascade_beliefs_satisfy_cascade_check():
             assert is_cascade_belief(structure, belief, tol=1e-9).holds
 
 
+@pytest.mark.parametrize("c_points", [0, -1])
+def test_scan_cascades_rejects_an_empty_grid(c_points):
+    with pytest.raises(PreconditionFailed):
+        scan_cascades(binary_symmetric(), c_points=c_points)
+
+
 def test_row_constant_structure_cascades_everywhere():
     structure = make_structure([0, 1], [[0.5, 0.5], [0.5, 0.5]])
     report = azc_audit(structure, delta=0.1, grid_resolution=20)
@@ -242,6 +242,12 @@ def test_azc_audit_flags_known_cascade_belief_even_off_grid():
     assert report.verdict == "fail"
 
 
+@pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": -0.1}, {"delta": 0.1, "grid_resolution": 1}])
+def test_azc_audit_rejects_bad_parameters(kwargs):
+    with pytest.raises(PreconditionFailed):
+        azc_audit(binary_symmetric(), **kwargs)
+
+
 def test_azc_audit_three_state_pi_passes():
     report = azc_audit(three_state_informative(), delta=0.1, grid_resolution=40)
     assert report.verdict == "pass"
@@ -249,7 +255,7 @@ def test_azc_audit_three_state_pi_passes():
 
 
 def test_strict_mlrp_implies_pairwise_informative_sample():
-    from market_learn import random_mlrp_structure, random_structure
+    from market_learn.verify import random_mlrp_structure, random_structure
 
     rng = np.random.default_rng(31)
     strict_count = 0

@@ -1,26 +1,21 @@
 import numpy as np
 import pytest
 
-from market_learn import (
+from market_learn.engine import BOUNDARY_BAND, initial_market_state, solve_quotes
+from market_learn.model import (
     ACTIONS,
     Belief,
-    ScenarioConfig,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    binary_symmetric,
+    action_likelihood_vector,
     expectation,
-    four_state_cascade,
-    initial_market_state,
     posterior_values,
-    random_belief,
-    random_structure,
-    run_private_episode,
-    solve_quotes,
-    three_state_informative,
     update_public_belief_on_action,
 )
-from market_learn.engine import BOUNDARY_BAND
+from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
+from market_learn.simulate import ScenarioConfig, run_private_episode
+from market_learn.verify import random_belief, random_structure
 
 
 def enumeration_oracle(belief, structure, eta, band=BOUNDARY_BAND):
@@ -298,7 +293,6 @@ def test_one_step_price_martingale_on_random_states():
     # stepped beliefs so the identity is the plain tower property
     rng = np.random.default_rng(11)
     structure = four_state_cascade()
-    from market_learn import action_likelihood_vector
 
     for _ in range(50):
         belief = Belief.from_unnormalized(rng.dirichlet(np.ones(4)) + 1e-3)

@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
-from market_learn import (
-    ACTIONS,
-    Belief,
+from market_learn.errors import (
     DimensionMismatch,
     EmptySignalSet,
     InvalidBelief,
     NonPositiveDensity,
     RowSumInvalid,
+    UnknownSignal,
+)
+from market_learn.model import (
+    ACTIONS,
+    Belief,
     SignalPartition,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    UnknownSignal,
     action_likelihood_vector,
     bayes_posterior,
     bayes_posterior_set,
-    binary_symmetric,
     expectation,
-    four_state_cascade,
     update_public_belief_on_action,
     validate_structure,
 )
+from market_learn.presets import binary_symmetric, four_state_cascade
 
 
 def make_structure(states, rows, labels=None):

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from market_learn import (
-    ConfigInvalid,
-    NonPositiveDensity,
-    binary_symmetric,
+from market_learn.errors import ConfigInvalid, NonPositiveDensity
+from market_learn.presets import binary_symmetric
+from market_learn.scenario import (
     load_scenario,
     load_structure,
     save_scenario,

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from market_learn import (
-    Belief,
-    ConfigInvalid,
+from market_learn.errors import ConfigInvalid
+from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, bayes_posterior, expectation
+from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
+from market_learn.simulate import (
     ScenarioConfig,
-    SignalSpace,
-    SignalStructure,
-    StateSpace,
-    binary_symmetric,
     compare_modes,
-    four_state_cascade,
     run_episodes,
     run_monte_carlo,
     run_private_episode,
     run_public_episode,
     summarize_episodes,
-    three_state_informative,
 )
+from market_learn.verify import random_belief, random_structure
 
 
 def binary_config(**overrides):
@@ -176,8 +172,6 @@ def test_public_mode_learns_four_state_structure():
 def reference_public_episode(config, episode_index):
     """run_public_episode rebuilt from bayes_posterior and expectation, with
     the draws of the documented contract."""
-    from market_learn.model import bayes_posterior, expectation
-
     structure = config.structure
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
     if config.true_state is None:
@@ -224,8 +218,6 @@ def test_public_episode_matches_scalar_reference_on_duplicated_states():
 
 
 def test_public_episode_matches_scalar_reference_on_random_structures():
-    from market_learn.verify import random_belief, random_structure
-
     rng = np.random.default_rng(2025)
     for _ in range(30):
         structure = random_structure(rng)

@@ -1,32 +1,30 @@
 import numpy as np
 import pytest
 
-from market_learn import (
+from market_learn.conditions import is_mlrp, is_pairwise_informative
+from market_learn.engine import initial_market_state
+from market_learn.errors import DegenerateBelief, PreconditionFailed
+from market_learn.model import (
     Belief,
-    DegenerateBelief,
-    PreconditionFailed,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    binary_symmetric,
+    expectation,
+    update_public_belief_on_action,
+    validate_structure,
+)
+from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
+from market_learn.verify import (
     check_belief_martingale,
     check_likelihood_ratio_martingale,
     check_limit_support_3state,
     check_price_directions,
     check_price_martingale,
-    expectation,
-    four_state_cascade,
-    initial_market_state,
-    is_mlrp,
-    is_pairwise_informative,
     random_belief,
     random_market_state,
     random_mlrp_structure,
     random_structure,
     run_martingale_suite,
-    three_state_informative,
-    update_public_belief_on_action,
-    validate_structure,
 )
 
 # two states, three signals, with an asymmetric middle signal: the no-trade
@@ -181,6 +179,8 @@ def test_limit_support_guards():
     )
     with pytest.raises(PreconditionFailed):
         check_limit_support_3state(not_pi, 0.5, trials=2, horizon=10)
+    with pytest.raises(PreconditionFailed):
+        check_limit_support_3state(binary_symmetric(0.8), 0.5, trials=0, horizon=10)
 
 
 def test_limit_support_binary():
@@ -232,6 +232,12 @@ def test_martingale_suite_small_run_passes():
         assert report.witness["trials"] == 50
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_martingale_suite_rejects_empty_runs(trials):
+    with pytest.raises(PreconditionFailed):
+        run_martingale_suite(trials=trials)
+
+
 @pytest.mark.parametrize("seed, structure, eta", [
     (3, None, None),
     (5, three_state_informative(), 0.5),
@@ -242,27 +248,20 @@ def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
     # the suite's worst deviation and worst trial per identity are the
     # running maximum (latest trial on ties) of the public checks over the
     # same randomized states
-    from market_learn.verify import (
-        check_belief_martingale as belief,
-        check_likelihood_ratio_martingale as odds,
-        check_price_directions as directions,
-        check_price_martingale as price,
-        random_market_state as draw,
-        run_martingale_suite as suite,
-    )
-
     trials = 150
     rng = np.random.default_rng(seed)
     worst = {}
     for trial in range(trials):
-        state, struct, e = draw(rng, structure=structure, eta=eta)
+        state, struct, e = random_market_state(rng, structure=structure, eta=eta)
         true_state = int(rng.integers(0, struct.n_states))
-        for report in (belief(state, struct, e), price(state, struct, e),
-                       odds(state, struct, e, true_state), directions(state, struct, e)):
+        for report in (check_belief_martingale(state, struct, e),
+                       check_price_martingale(state, struct, e),
+                       check_likelihood_ratio_martingale(state, struct, e, true_state),
+                       check_price_directions(state, struct, e)):
             if report.max_abs_deviation >= worst.get(report.check_name, (0.0, None))[0]:
                 worst[report.check_name] = (report.max_abs_deviation, trial)
 
-    reports = suite(trials=trials, seed=seed, structure=structure, eta=eta)
+    reports = run_martingale_suite(trials=trials, seed=seed, structure=structure, eta=eta)
     assert [r.check_name for r in reports] == [
         "belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions",
     ]
