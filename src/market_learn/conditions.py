@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eig as generalized_eig
 from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from .errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
 from .model import Belief, SignalStructure, expectation, posterior_values
@@ -50,6 +49,11 @@ NULLSPACE_RCOND = 1e-10
 # Weights below this floor are treated as boundary (not full support) when
 # classifying numerically obtained cascade beliefs.
 FULL_SUPPORT_FLOOR = 1e-9
+
+# Above 4 states the movement audit replaces its simplex grid with a seeded
+# Dirichlet sample of this many beliefs.
+AUDIT_SAMPLE_COUNT = 100_000
+AUDIT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def find_crossing_signals(
     within ``tol`` everywhere.
     """
     if state_a == state_b:
-        raise ValueError("state indices must differ")
+        raise PreconditionFailed(f"state indices must differ, got {state_a} twice")
     diff = structure.likelihood[state_a] - structure.likelihood[state_b]
     hi = int(np.argmax(diff))
     lo = int(np.argmin(diff))
@@ -304,51 +308,13 @@ def find_cascade_beliefs(
     )
 
 
-def _sigma_min_ratio(structure: SignalStructure, c: float) -> float:
-    svals = np.linalg.svd(_cascade_matrix(structure, c), compute_uv=False)
-    if svals[0] == 0:
-        return 0.0
-    return float(svals[-1] / svals[0])
-
-
 def _candidate_expectations(structure: SignalStructure, c_points: int) -> np.ndarray:
-    """Target expectations worth probing for cascade beliefs: a hull grid,
-    refined local minima of the smallest singular value of the cascade
-    matrix, and (for square tables) generalized eigenvalues of the pencil
-    (w-weighted table, table).
-
-    The refinement step recovers isolated rank-drop points that no fixed
-    grid would hit exactly.
-    """
-    low, high = structure.states.low, structure.states.high
-    grid = np.linspace(low, high, c_points)
-    ratios = np.array([_sigma_min_ratio(structure, c) for c in grid])
-
-    extras = []
-    if np.median(ratios) > NULLSPACE_RCOND:
-        # Pencil is regular: isolated singular points show as sharp local
-        # minima of the ratio curve; polish each one.
-        for i in range(1, len(grid) - 1):
-            if ratios[i] <= ratios[i - 1] and ratios[i] <= ratios[i + 1]:
-                res = minimize_scalar(
-                    lambda c: _sigma_min_ratio(structure, c),
-                    bounds=(grid[i - 1], grid[i + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-12},
-                )
-                if res.fun <= NULLSPACE_RCOND:
-                    extras.append(float(res.x))
-
-    table = structure.likelihood
-    if structure.n_states == structure.n_signals:
-        a = (table * structure.states.values[:, None]).T
-        b = table.T
-        eigvals = generalized_eig(a, b, right=False)
-        for lam in eigvals:
-            if np.isfinite(lam) and abs(lam.imag) < 1e-9 and low <= lam.real <= high:
-                extras.append(float(lam.real))
-
-    return np.concatenate([grid, np.array(extras)]) if extras else grid
+    """A hull grid plus the state values.  Off the state values the null
+    space of the cascade matrix is ``diag(w - c)^-1 null(L^T)``, of dimension
+    ``n - rank(L)`` at every such ``c``, so only at a state value can the
+    dimension jump."""
+    grid = np.linspace(structure.states.low, structure.states.high, c_points)
+    return np.concatenate([grid, structure.states.values])
 
 
 def scan_cascades(
@@ -378,12 +344,9 @@ def simplex_grid(n: int, resolution: int) -> np.ndarray:
     """All full-support lattice beliefs (k_1, ..., k_n)/resolution with
     integer k_i >= 1; shape (count, n)."""
     if resolution < n:
-        raise ValueError(f"resolution {resolution} cannot place positive mass on {n} states")
+        raise PreconditionFailed(f"resolution {resolution} cannot place positive mass on {n} states")
     cuts = itertools.combinations(range(1, resolution), n - 1)
-    rows = []
-    for cut in cuts:
-        edges = (0,) + cut + (resolution,)
-        rows.append(np.diff(edges))
+    rows = [np.diff((0,) + cut + (resolution,)) for cut in cuts]
     return np.asarray(rows, dtype=float) / resolution
 
 
@@ -397,15 +360,12 @@ def azc_audit(
     delta: float,
     grid_resolution: int = 50,
     movement_tol: float = 1e-9,
-    c_points: int = 201,
-    sample_count: int = 100_000,
-    seed: int = 0,
 ) -> AzcAuditReport:
     """Numerically audit the no-cascade movement condition.
 
     Audited beliefs are (a) a full-support simplex grid (a seeded Dirichlet
-    sample of ``sample_count`` beliefs replaces the grid above 4 states) and
-    (b) every belief located by the cascade scan across candidate target
+    sample of ``AUDIT_SAMPLE_COUNT`` beliefs replaces the grid above 4 states)
+    and (b) every belief located by the cascade scan across candidate target
     expectations.  Among audited beliefs that are mispriced against at least
     one support state by more than ``delta``, the audit records the smallest
     value of the worst-case expectation movement max_s |E[w|s] - E[w]|.
@@ -425,14 +385,14 @@ def azc_audit(
     if n <= 4:
         beliefs = simplex_grid(n, grid_resolution)
     else:
-        rng = np.random.default_rng(seed)
-        beliefs = rng.dirichlet(np.ones(n), size=sample_count)
+        rng = np.random.default_rng(AUDIT_SEED)
+        beliefs = rng.dirichlet(np.ones(n), size=AUDIT_SAMPLE_COUNT)
         beliefs = np.maximum(beliefs, 1e-12)
         beliefs /= beliefs.sum(axis=1, keepdims=True)
 
     cascade_rows = [
         b.weights
-        for result in scan_cascades(structure, c_points=c_points, tol=movement_tol)
+        for result in scan_cascades(structure, tol=movement_tol)
         for b in result.beliefs
     ]
     if cascade_rows:

@@ -7,8 +7,9 @@ is exactly the conditional expectation of the asset value given a buy, and
 symmetrically for the bid, which is how the solver computes candidates.
 
 :func:`quote_core` works on plain weight arrays and is what the private-mode
-episode loop calls every period; :func:`solve_quotes` wraps it in the value
-types and is the reference the tests pin against exhaustive enumeration.
+episode loop and the one-step identity checks call; :func:`solve_quotes`
+wraps it in the value types and is the reference the tests pin against
+exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from .model import (
 __all__ = [
     "BOUNDARY_BAND",
     "Quotes",
-    "MarketState",
     "quote_core",
     "solve_quotes",
-    "initial_market_state",
 ]
 
 # Signals whose conditional value sits within this band of a quote are
@@ -56,16 +55,6 @@ class Quotes:
     def __post_init__(self):
         if not (self.bid <= self.ask):
             raise NoConsistentPartition(f"bid {self.bid} above ask {self.ask}")
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """Public belief plus the quotes/partition it induces: the input of the
-    one-step checks in :mod:`market_learn.verify`."""
-
-    belief: Belief
-    quotes: Quotes
-    partition: SignalPartition
 
 
 def _greedy_side(
@@ -184,8 +173,3 @@ def solve_quotes(
     """
     bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta))
     return Quotes(bid=bid, ask=ask), SignalPartition(structure.n_signals, buy=buy, sell=sell)
-
-
-def initial_market_state(belief: Belief, structure: SignalStructure, eta) -> MarketState:
-    quotes, partition = solve_quotes(belief, structure, eta)
-    return MarketState(belief=belief, quotes=quotes, partition=partition)

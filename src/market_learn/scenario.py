@@ -15,6 +15,7 @@ ScenarioConfig defaults when omitted.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,21 @@ _SCENARIO_KEYS = {
 _REQUIRED_SCENARIO_KEYS = {"structure", "prior", "eta", "mode"}
 
 
+def _number(doc: dict, key: str, integer: bool = False):
+    """``doc[key]`` as a float, or when ``integer`` as an int (100.0 too)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, Real) or (integer and not float(value).is_integer()):
+        raise ConfigInvalid(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _float_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{key} must be numeric: {exc}") from exc
+
+
 def structure_from_dict(doc: dict) -> SignalStructure:
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"structure must be an object, got {type(doc).__name__}")
@@ -50,10 +66,13 @@ def structure_from_dict(doc: dict) -> SignalStructure:
     missing = _STRUCTURE_KEYS - set(doc)
     if missing:
         raise ConfigInvalid(f"missing structure keys: {sorted(missing)}")
+    labels = doc["signals"]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ConfigInvalid(f"signals must be a list of strings, got {labels!r}")
     structure = SignalStructure(
-        StateSpace(np.asarray(doc["states"], dtype=float)),
-        SignalSpace(tuple(doc["signals"])),
-        np.asarray(doc["likelihood"], dtype=float),
+        StateSpace(_float_array(doc, "states")),
+        SignalSpace(tuple(labels)),
+        _float_array(doc, "likelihood"),
     )
     validate_structure(structure)
     return structure
@@ -86,16 +105,16 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     kwargs = {}
     for key in ("horizon", "episodes", "seed"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            kwargs[key] = _number(doc, key, integer=True)
     if "convergence_tol" in doc:
-        kwargs["convergence_tol"] = float(doc["convergence_tol"])
-    if "true_state" in doc and doc["true_state"] is not None:
-        kwargs["true_state"] = int(doc["true_state"])
+        kwargs["convergence_tol"] = _number(doc, "convergence_tol")
+    if doc.get("true_state") is not None:
+        kwargs["true_state"] = _number(doc, "true_state", integer=True)
 
     return ScenarioConfig(
         structure=structure,
         prior=prior,
-        eta=float(doc["eta"]),
+        eta=_number(doc, "eta"),
         mode=str(doc["mode"]),
         **kwargs,
     )

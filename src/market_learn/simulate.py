@@ -71,6 +71,8 @@ class ScenarioConfig:
             raise ConfigInvalid("horizon must be at least 1")
         if self.episodes < 1:
             raise ConfigInvalid("episodes must be at least 1")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
         if not (self.convergence_tol > 0):
             raise ConfigInvalid("convergence_tol must be positive")
         if self.true_state is not None and not (0 <= self.true_state < self.structure.n_states):

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .conditions import is_pairwise_informative
-from .engine import MarketState, initial_market_state
+from .engine import quote_core
 from .errors import DegenerateBelief, PreconditionFailed
 from .model import (
     ACTIONS,
@@ -35,23 +35,23 @@ from .simulate import PRIVATE, ScenarioConfig, run_private_episode
 __all__ = [
     "ONE_STEP_TOL",
     "DeviationReport",
-    "check_belief_martingale",
-    "check_price_martingale",
-    "check_likelihood_ratio_martingale",
-    "check_price_directions",
+    "one_step_reports",
     "check_limit_support_3state",
     "random_structure",
     "random_belief",
-    "random_market_state",
     "random_mlrp_structure",
     "run_martingale_suite",
 ]
 
 ONE_STEP_TOL = 1e-10
 
-# Share of long runs that must end near a belief vertex in
-# :func:`check_limit_support_3state`.
+# :func:`check_limit_support_3state` needs this share of long runs to end
+# with every belief coordinate within ``SUPPORT_SLACK`` of {0, 1}.
 MIN_PASS_FRACTION = 0.95
+SUPPORT_SLACK = 0.05
+
+# Floor on the Dirichlet draws of the random structures and beliefs.
+RANDOM_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,27 @@ def _report(name, deviation, tol, witness=None, detail=""):
     )
 
 
-def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: float,
-                      true_state: Optional[int] = None) -> dict:
-    """The one-step identities from one pass over the three actions, on plain
-    weight arrays; the likelihood-ratio identity only when ``true_state`` is
-    given.  Keyed by check name, in the order the suite reports them."""
-    w = state.belief.weights
+def one_step_reports(belief: Belief, structure: SignalStructure, eta,
+                     true_state: Optional[int] = None) -> dict:
+    """The one-step identities at ``belief`` from one pass over the three
+    actions, keyed by check name in the suite's order: ``belief_martingale``
+    (the action-weighted next beliefs average to the belief),
+    ``price_martingale`` (likewise the expectation; trading quotes equal
+    their E[w|a]), ``likelihood_ratio_martingale`` only when ``true_state``
+    is given (the wrong-over-right odds under the true state's action law;
+    :class:`DegenerateBelief` if that state has no weight), and
+    ``price_directions`` (a nonempty buy side raises the expectation, a sell
+    side lowers it, and no trade keeps it when its signal mass is
+    state-independent; otherwise no trade carries information of its own)."""
+    w = belief.weights
     if true_state is not None and w[true_state] <= 0.0:
         raise DegenerateBelief(f"belief places zero weight on state index {true_state}")
     e = _eta_value(eta)
+    bid, ask, buy, sell = quote_core(w, structure, e)
+    no_trade = np.ones(structure.n_signals, dtype=bool)
+    no_trade[buy] = no_trade[sell] = False
+    signal_sets = {BUY: buy, SELL: sell, NO_TRADE: np.flatnonzero(no_trade)}
     values = structure.states.values
-    partition, quotes = state.partition, state.quotes
     exp_val = float(values @ w)
 
     mixed_belief = np.zeros(structure.n_states)
@@ -105,7 +115,7 @@ def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: 
     violation = 0.0
     conditional = {}
     for action in ACTIONS:
-        like = _action_likelihood(structure, partition.indices_for(action), e)
+        like = _action_likelihood(structure, signal_sets[action], e)
         prob = float(w @ like)
         stepped = _normalized(w * like)
         _check_weights(stepped)
@@ -113,11 +123,11 @@ def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: 
         conditional[action] = cond
         mixed_belief += prob * stepped
         mixed_price += prob * cond
-        if action == BUY and partition.buy:
-            quote_gap = max(quote_gap, abs(cond - quotes.ask))
+        if action == BUY and buy.size:
+            quote_gap = max(quote_gap, abs(cond - ask))
             violation = max(violation, exp_val - cond)  # must be strictly below zero
-        elif action == SELL and partition.sell:
-            quote_gap = max(quote_gap, abs(cond - quotes.bid))
+        elif action == SELL and sell.size:
+            quote_gap = max(quote_gap, abs(cond - bid))
             violation = max(violation, cond - exp_val)
         elif action == NO_TRADE and float(like.max() - like.min()) <= 1e-12:
             violation = max(violation, abs(cond - exp_val))
@@ -132,14 +142,14 @@ def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: 
         "belief_martingale": _report(
             "belief_martingale",
             belief_gap[worst],
-            tol,
+            ONE_STEP_TOL,
             witness={"state_index": worst},
             detail="sum_a P(a) mu'(w|a) compared against mu(w) over all states",
         ),
         "price_martingale": _report(
             "price_martingale",
             max(abs(mixed_price - exp_val), quote_gap),
-            tol,
+            ONE_STEP_TOL,
             witness={"expectation": exp_val, "mixed": mixed_price, "quote_gap": quote_gap},
             detail="sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
         ),
@@ -149,14 +159,14 @@ def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: 
         reports["likelihood_ratio_martingale"] = _report(
             "likelihood_ratio_martingale",
             abs(mixed_lam - lam),
-            tol,
+            ONE_STEP_TOL,
             witness={"lambda": lam, "mixed": mixed_lam, "true_state": true_state},
             detail="odds of incorrect states vs the true state, averaged under the true-state action law",
         )
     reports["price_directions"] = _report(
         "price_directions",
         violation,
-        tol,
+        ONE_STEP_TOL,
         witness={"expectation": exp_val, "conditional": conditional},
         detail="E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
                "when its signal mass is state-independent",
@@ -164,52 +174,17 @@ def _one_step_reports(state: MarketState, structure: SignalStructure, eta, tol: 
     return reports
 
 
-def check_belief_martingale(state: MarketState, structure: SignalStructure, eta,
-                            tol: float = ONE_STEP_TOL) -> DeviationReport:
-    """The public belief is a martingale: averaging the three possible
-    next-period beliefs by their action probabilities recovers the current
-    belief coordinate by coordinate."""
-    return _one_step_reports(state, structure, eta, tol)["belief_martingale"]
-
-
-def check_price_martingale(state: MarketState, structure: SignalStructure, eta,
-                           tol: float = ONE_STEP_TOL) -> DeviationReport:
-    """The expectation-price is a martingale: sum_a P(a) E[w|a] equals the
-    current expectation.  On the trading branches E[w|a] coincides with the
-    posted quote (zero-profit), which is asserted as part of the check."""
-    return _one_step_reports(state, structure, eta, tol)["price_martingale"]
-
-
-def check_likelihood_ratio_martingale(state: MarketState, structure: SignalStructure, eta,
-                                      true_state: int, tol: float = ONE_STEP_TOL) -> DeviationReport:
-    """The wrong-over-right belief odds are a martingale under the true
-    state's action law: sum_a f(a|w*) lambda'(a) equals lambda."""
-    return _one_step_reports(state, structure, eta, tol, true_state)["likelihood_ratio_martingale"]
-
-
-def check_price_directions(state: MarketState, structure: SignalStructure, eta,
-                           tol: float = ONE_STEP_TOL) -> DeviationReport:
-    """Directional effect of each action on the expectation: a buy with a
-    nonempty buy set strictly raises it, a sell strictly lowers it, and the
-    no-trade expectation equals the current one whenever the no-trade signal
-    mass is state-independent (it is not in general: a state-dependent
-    no-trade region carries information of its own, and then only the
-    conditional-expectation identity E[w|NT,H] holds)."""
-    return _one_step_reports(state, structure, eta, tol)["price_directions"]
-
-
 def check_limit_support_3state(
     structure: SignalStructure,
     eta,
     trials: int = 100,
     horizon: int = 3000,
-    slack: float = 0.05,
     seed: int = 0,
 ) -> DeviationReport:
     """Statistical surrogate for vertex convergence with at most three
     states: after a long private-signal run, every belief coordinate should
-    sit within ``slack`` of {0, 1} in at least ``MIN_PASS_FRACTION`` of
-    trials.  Requires a pairwise informative structure with n <= 3 and at
+    sit within ``SUPPORT_SLACK`` of {0, 1} in at least ``MIN_PASS_FRACTION``
+    of trials.  Requires a pairwise informative structure with n <= 3 and at
     least one trial."""
     if trials < 1:
         raise PreconditionFailed(f"check requires at least one trial, got {trials}")
@@ -233,7 +208,7 @@ def check_limit_support_3state(
         final = result.belief_path[-1]
         distances.append(float(np.minimum(final, 1.0 - final).max()))
     distances = np.array(distances)
-    ok_fraction = float((distances <= slack).mean())
+    ok_fraction = float((distances <= SUPPORT_SLACK).mean())
     deviation = max(0.0, 1.0 - ok_fraction)
     worst = int(np.argmax(distances))
     return _report(
@@ -243,43 +218,41 @@ def check_limit_support_3state(
         witness={
             "trials": trials,
             "horizon": horizon,
-            "slack": slack,
+            "slack": SUPPORT_SLACK,
             "min_pass_fraction": MIN_PASS_FRACTION,
             "fraction_near_vertex": ok_fraction,
             "worst_episode": worst,
             "worst_distance": float(distances[worst]),
         },
         detail=f"statistical check: {ok_fraction:.1%} of {trials} trials ended within "
-               f"{slack} of a belief vertex (needs >= {MIN_PASS_FRACTION:.0%})",
+               f"{SUPPORT_SLACK} of a belief vertex (needs >= {MIN_PASS_FRACTION:.0%})",
     )
 
 
-def random_structure(rng: np.random.Generator, n_states: Optional[int] = None,
-                     n_signals: Optional[int] = None, floor: float = 1e-3) -> SignalStructure:
-    """Random strictly-positive row-stochastic structure over a random
-    strictly increasing value grid.  Rows are flat-Dirichlet draws floored at
-    ``floor`` and renormalized so no signal can exclude any state."""
-    n = int(n_states) if n_states else int(rng.integers(2, 5))
-    m = int(n_signals) if n_signals else int(rng.integers(2, 6))
+def random_structure(rng: np.random.Generator) -> SignalStructure:
+    """Random strictly-positive structure with 2-4 states and 2-5 signals:
+    flat-Dirichlet rows floored at ``RANDOM_FLOOR`` and renormalized."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 6))
     rows = rng.dirichlet(np.ones(m), size=n)
-    rows = np.maximum(rows, floor)
+    rows = np.maximum(rows, RANDOM_FLOOR)
     rows /= rows.sum(axis=1, keepdims=True)
     return _on_random_value_grid(rng, rows)
 
 
-def random_belief(rng: np.random.Generator, n: int, floor: float = 1e-3) -> Belief:
+def random_belief(rng: np.random.Generator, n: int) -> Belief:
     raw = rng.dirichlet(np.ones(n))
-    raw = np.maximum(raw, floor)
+    raw = np.maximum(raw, RANDOM_FLOOR)
     return Belief.from_unnormalized(raw)
 
 
-def random_mlrp_structure(rng: np.random.Generator, n_states: Optional[int] = None,
-                          n_signals: Optional[int] = None) -> SignalStructure:
-    """Structure with the strict monotone likelihood ratio property by
-    construction: rows proportional to exp(theta_i x_j) with both parameter
-    grids strictly increasing (log-supermodular table)."""
-    n = int(n_states) if n_states else int(rng.integers(2, 5))
-    m = int(n_signals) if n_signals else int(rng.integers(2, 6))
+def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
+    """Structure with 2-4 states, 2-5 signals and the strict monotone
+    likelihood ratio property by construction: rows proportional to
+    exp(theta_i x_j) with both parameter grids strictly increasing
+    (log-supermodular table)."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 6))
     theta = np.cumsum(rng.uniform(0.4, 1.0, size=n))
     x = np.cumsum(rng.uniform(0.4, 1.0, size=m))
     rows = np.exp(np.outer(theta, x))
@@ -298,22 +271,13 @@ def _on_random_value_grid(rng: np.random.Generator, rows: np.ndarray) -> SignalS
     return SignalStructure(StateSpace(values), SignalSpace(labels), rows)
 
 
-def random_market_state(rng: np.random.Generator, structure: Optional[SignalStructure] = None,
-                        eta: Optional[float] = None):
-    """A consistent market state at a random full-support belief; returns
-    (state, structure, eta)."""
-    structure = structure if structure is not None else random_structure(rng)
-    eta = eta if eta is not None else float(rng.uniform(0.05, 0.95))
-    belief = random_belief(rng, structure.n_states)
-    return initial_market_state(belief, structure, eta), structure, eta
-
-
 def run_martingale_suite(trials: int = 1000, seed: int = 0,
                          structure: Optional[SignalStructure] = None,
-                         eta: Optional[float] = None,
-                         tol: float = ONE_STEP_TOL) -> list[DeviationReport]:
-    """Run the four one-step checks over ``trials`` randomized states and
-    aggregate the worst deviation per check."""
+                         eta: Optional[float] = None) -> list[DeviationReport]:
+    """Run :func:`one_step_reports` over ``trials`` randomized states and
+    aggregate the worst deviation (latest trial on ties) per identity.  Each
+    trial draws, in this order, the structure and the noise rate when they
+    are not given, a full-support belief and a true state."""
     if trials < 1:
         raise PreconditionFailed(f"the suite needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
@@ -321,9 +285,11 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
     worst = {name: (0.0, None) for name in names}
 
     for trial in range(trials):
-        state, struct, e = random_market_state(rng, structure=structure, eta=eta)
+        struct = structure if structure is not None else random_structure(rng)
+        e = eta if eta is not None else float(rng.uniform(0.05, 0.95))
+        belief = random_belief(rng, struct.n_states)
         true_state = int(rng.integers(0, struct.n_states))
-        for name, report in _one_step_reports(state, struct, e, tol, true_state).items():
+        for name, report in one_step_reports(belief, struct, e, true_state).items():
             if report.max_abs_deviation >= worst[name][0]:
                 worst[name] = (report.max_abs_deviation, trial)
 
@@ -331,7 +297,7 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
         _report(
             name,
             deviation,
-            tol,
+            ONE_STEP_TOL,
             witness={"worst_trial": trial, "trials": trials, "seed": seed},
             detail=f"worst deviation across {trials} randomized market states",
         )

@@ -78,6 +78,11 @@ def test_crossing_signals_identical_rows_raise():
         find_crossing_signals(DUPLICATED_ROWS, 0, 1)
 
 
+def test_crossing_signals_rejects_equal_states():
+    with pytest.raises(PreconditionFailed):
+        find_crossing_signals(four_state_cascade(), 1, 1)
+
+
 def test_crossing_exists_for_every_pair_when_pi_holds():
     for structure in (four_state_cascade(), three_state_informative(), binary_symmetric(0.7)):
         assert is_pairwise_informative(structure).holds
@@ -193,6 +198,50 @@ def test_emitted_cascade_beliefs_satisfy_cascade_check():
             assert is_cascade_belief(structure, belief, tol=1e-9).holds
 
 
+def test_scan_cascades_probes_the_grid_and_the_state_values():
+    # the four-state table has rank 3, so the cascade null space is one
+    # dimensional at every target; the state value 2.0, off the 201-point
+    # grid, is probed exactly and holds only the point mass on that state
+    found = scan_cascades(four_state_cascade())
+    targets = [entry.target_expectation for entry in found]
+    assert targets == sorted(set(np.linspace(0.0, 3.0, 201)) | {0.0, 1.0, 2.0, 3.0})
+    at_two = next(entry for entry in found if entry.target_expectation == 2.0)
+    assert at_two.basis_dimension == 1
+    assert at_two.beliefs == ()
+
+
+def _low_rank_table(rng, n, m, rank):
+    """A strictly positive n x m likelihood table of the given rank: each
+    row mixes ``rank`` shared signal distributions."""
+    mix = rng.dirichlet(np.ones(rank), size=n)
+    basis = rng.dirichlet(np.ones(m), size=rank) * 0.9 + 0.1 / m
+    return mix @ basis
+
+
+def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
+    # off the state values the cascade null space is diag(w - c)^-1 null(L^T),
+    # so its dimension is n - rank(L) at every target: the fact that lets
+    # scan_cascades probe a grid plus the state values and nothing else
+    from market_learn.verify import random_mlrp_structure, random_structure
+
+    rng = np.random.default_rng(97)
+    structures = [random_structure(rng) for _ in range(15)]
+    structures += [random_mlrp_structure(rng) for _ in range(10)]
+    for n, m, rank in [(3, 2, 2), (4, 2, 2), (4, 3, 3), (3, 3, 2), (4, 4, 2), (4, 5, 3), (4, 5, 1), (3, 5, 1)]:
+        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
+        structures.append(make_structure(values, _low_rank_table(rng, n, m, rank)))
+    deficiencies = set()
+    for structure in structures:
+        values = structure.states.values
+        deficiency = structure.n_states - np.linalg.matrix_rank(structure.likelihood)
+        deficiencies.add(deficiency)
+        for c in np.linspace(values[0], values[-1], 23):
+            if np.abs(values - c).min() < 1e-6:
+                continue
+            assert find_cascade_beliefs(structure, c).basis_dimension == deficiency, (structure, c)
+    assert deficiencies == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("c_points", [0, -1])
 def test_scan_cascades_rejects_an_empty_grid(c_points):
     with pytest.raises(PreconditionFailed):
@@ -242,10 +291,16 @@ def test_azc_audit_flags_known_cascade_belief_even_off_grid():
     assert report.verdict == "fail"
 
 
-@pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": -0.1}, {"delta": 0.1, "grid_resolution": 1}])
+@pytest.mark.parametrize("kwargs", [
+    {"delta": 0.0},
+    {"delta": -0.1},
+    {"delta": 0.1, "grid_resolution": 1},
+    # a lattice of resolution 3 cannot give all four states positive mass
+    {"structure": four_state_cascade(), "delta": 0.1, "grid_resolution": 3},
+])
 def test_azc_audit_rejects_bad_parameters(kwargs):
     with pytest.raises(PreconditionFailed):
-        azc_audit(binary_symmetric(), **kwargs)
+        azc_audit(**{"structure": binary_symmetric(), **kwargs})
 
 
 def test_azc_audit_three_state_pi_passes():

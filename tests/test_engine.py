@@ -1,7 +1,9 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from market_learn.engine import BOUNDARY_BAND, initial_market_state, solve_quotes
+from market_learn.engine import BOUNDARY_BAND, solve_quotes
 from market_learn.model import (
     ACTIONS,
     Belief,
@@ -179,13 +181,21 @@ def test_resolving_is_bit_identical():
 
 # ---------------------------------------------------------------- stepping
 
+State = namedtuple("State", "belief quotes partition")
+
+
+def solved(belief, structure, eta):
+    """A belief with the quotes and partition solve_quotes gives it."""
+    return State(belief, *solve_quotes(belief, structure, eta))
+
+
 def reference_step(state, structure, eta, action, price):
     """One period from the scalar pieces: the trade prints at the ask on a
     buy, at the bid on a sell and at the previous price otherwise; then the
     public belief updates on the action and the quotes are solved afresh."""
     price = {"B": state.quotes.ask, "S": state.quotes.bid, "NT": price}[action]
     belief = update_public_belief_on_action(state.belief, structure, state.partition, eta, action)
-    return initial_market_state(belief, structure, eta), price
+    return solved(belief, structure, eta), price
 
 
 def reference_episode(config, episode_index):
@@ -201,7 +211,7 @@ def reference_episode(config, episode_index):
     signals = rng.choice(structure.n_signals, size=config.horizon, p=structure.likelihood[true_state])
     noise_actions = rng.integers(0, 3, size=config.horizon)
 
-    state = initial_market_state(config.prior, structure, config.eta)
+    state = solved(config.prior, structure, config.eta)
     price = expectation(structure.states, config.prior)
     prices, beliefs = [price], [state.belief.weights]
     cascade_time = 0 if state.partition.all_no_trade else None
@@ -221,7 +231,7 @@ def reference_episode(config, episode_index):
 
 def test_step_on_buy_binary_example():
     structure = binary_symmetric(0.8)
-    state = initial_market_state(Belief.uniform(2), structure, 0.5)
+    state = solved(Belief.uniform(2), structure, 0.5)
     next_state, price = reference_step(state, structure, 0.5, "B", expectation(structure.states, state.belief))
     assert price == pytest.approx(0.68, abs=1e-12)
     np.testing.assert_allclose(next_state.belief.weights, [0.32, 0.68], atol=1e-12)
@@ -229,7 +239,7 @@ def test_step_on_buy_binary_example():
 
 def test_step_no_trade_with_empty_no_trade_set_is_inert():
     structure = binary_symmetric(0.8)
-    state = initial_market_state(Belief.uniform(2), structure, 0.5)
+    state = solved(Belief.uniform(2), structure, 0.5)
     assert state.partition.no_trade == ()
     next_state, price = reference_step(state, structure, 0.5, "NT", 0.5)
     assert price == 0.5
@@ -240,7 +250,7 @@ def test_step_no_trade_with_empty_no_trade_set_is_inert():
 
 def test_step_in_cascade_state_changes_nothing():
     structure = four_state_cascade()
-    state = initial_market_state(Belief.uniform(4), structure, 0.5)
+    state = solved(Belief.uniform(4), structure, 0.5)
     for action in ("B", "S", "NT"):
         stepped, price = reference_step(state, structure, 0.5, action, 1.5)
         np.testing.assert_allclose(stepped.belief.weights, 0.25, atol=1e-14)
@@ -251,7 +261,7 @@ def test_step_in_cascade_state_changes_nothing():
 
 def test_transaction_price_rules():
     structure = binary_symmetric(0.8)
-    state = initial_market_state(Belief(np.array([0.4, 0.6])), structure, 0.5)
+    state = solved(Belief(np.array([0.4, 0.6])), structure, 0.5)
     assert state.quotes.bid < state.quotes.ask
     for action, expected in (("B", state.quotes.ask), ("S", state.quotes.bid), ("NT", 0.55)):
         _, price = reference_step(state, structure, 0.5, action, 0.55)

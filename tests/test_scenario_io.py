@@ -122,3 +122,30 @@ def test_structure_file_loading(tmp_path):
     path.write_text(json.dumps(STRUCTURE_DOC))
     structure = load_structure(path)
     assert structure.signals.labels == ("l", "h")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon", None),
+    ("seed", None),
+    ("eta", None),
+    ("convergence_tol", None),
+    ("episodes", [1]),
+    ("signals", 5),
+    ("signals", [[1], [2]]),
+    ("horizon", 2.7),
+    ("true_state", 1.5),
+    ("seed", -1),
+])
+def test_scenario_malformed_value_rejected_naming_the_key(key, value):
+    if key == "signals":
+        doc = dict(SCENARIO_DOC, structure=dict(STRUCTURE_DOC, signals=value))
+    else:
+        doc = dict(SCENARIO_DOC, **{key: value})
+    with pytest.raises(ConfigInvalid, match=key):
+        scenario_from_dict(doc)
+
+
+def test_scenario_integral_floats_load_as_integers():
+    config = scenario_from_dict(dict(SCENARIO_DOC, horizon=100.0, seed=7.0, true_state=1.0))
+    assert (config.horizon, config.seed, config.true_state) == (100, 7, 1)
+    assert isinstance(config.horizon, int)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from market_learn.conditions import is_mlrp, is_pairwise_informative
-from market_learn.engine import initial_market_state
 from market_learn.errors import DegenerateBelief, PreconditionFailed
 from market_learn.model import (
     Belief,
@@ -14,14 +13,11 @@ from market_learn.model import (
     validate_structure,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
+from market_learn.engine import solve_quotes
 from market_learn.verify import (
-    check_belief_martingale,
-    check_likelihood_ratio_martingale,
     check_limit_support_3state,
-    check_price_directions,
-    check_price_martingale,
+    one_step_reports,
     random_belief,
-    random_market_state,
     random_mlrp_structure,
     random_structure,
     run_martingale_suite,
@@ -36,32 +32,32 @@ ASYMMETRIC_MIDDLE = SignalStructure(
 )
 
 
-def binary_state(eta=0.5):
-    return initial_market_state(Belief.uniform(2), binary_symmetric(0.8), eta)
-
-
-def cascade_state(eta=0.5):
-    return initial_market_state(Belief.uniform(4), four_state_cascade(), eta)
+def random_case(rng):
+    """A random structure, noise rate and full-support belief, drawn in the
+    order the martingale suite draws them."""
+    structure = random_structure(rng)
+    eta = float(rng.uniform(0.05, 0.95))
+    return random_belief(rng, structure.n_states), structure, eta
 
 
 # ---------------------------------------------------------------- belief martingale
 
 def test_belief_martingale_cascade_state_is_exact():
-    report = check_belief_martingale(cascade_state(), four_state_cascade(), 0.5)
+    report = one_step_reports(Belief.uniform(4), four_state_cascade(), 0.5)["belief_martingale"]
     assert report.passed
     assert report.max_abs_deviation <= 1e-14
 
 
 def test_belief_martingale_binary_state():
-    report = check_belief_martingale(binary_state(), binary_symmetric(0.8), 0.5)
+    report = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 0.5)["belief_martingale"]
     assert report.passed
 
 
 def test_belief_martingale_random_states():
     rng = np.random.default_rng(41)
     for _ in range(100):
-        state, structure, eta = random_market_state(rng)
-        assert check_belief_martingale(state, structure, eta).passed
+        belief, structure, eta = random_case(rng)
+        assert one_step_reports(belief, structure, eta)["belief_martingale"].passed
 
 
 # ---------------------------------------------------------------- price martingale
@@ -69,22 +65,22 @@ def test_belief_martingale_random_states():
 def test_price_martingale_binary_three_term_enumeration():
     # P(B) = P(S) = 0.5/3 + 0.5*0.5 = 5/12, P(NT) = 1/6;
     # 5/12*0.68 + 5/12*0.32 + 1/6*0.5 = 0.5
-    state = binary_state()
-    report = check_price_martingale(state, binary_symmetric(0.8), 0.5)
+    report = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 0.5)["price_martingale"]
     assert report.passed
     assert report.witness["mixed"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_price_martingale_pure_noise_and_cascade_states():
-    noise_state = initial_market_state(Belief.uniform(2), binary_symmetric(0.8), 1.0)
-    assert check_price_martingale(noise_state, binary_symmetric(0.8), 1.0).max_abs_deviation <= 1e-14
-    assert check_price_martingale(cascade_state(), four_state_cascade(), 0.5).max_abs_deviation <= 1e-14
+    noise = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 1.0)["price_martingale"]
+    assert noise.max_abs_deviation <= 1e-14
+    cascade = one_step_reports(Belief.uniform(4), four_state_cascade(), 0.5)["price_martingale"]
+    assert cascade.max_abs_deviation <= 1e-14
 
 
 def test_price_martingale_holds_with_informative_no_trade_region():
-    state = initial_market_state(Belief.uniform(2), ASYMMETRIC_MIDDLE, 0.5)
-    assert state.partition.no_trade, "middle signal should sit inside the spread"
-    report = check_price_martingale(state, ASYMMETRIC_MIDDLE, 0.5)
+    _, partition = solve_quotes(Belief.uniform(2), ASYMMETRIC_MIDDLE, 0.5)
+    assert partition.no_trade, "middle signal should sit inside the spread"
+    report = one_step_reports(Belief.uniform(2), ASYMMETRIC_MIDDLE, 0.5)["price_martingale"]
     assert report.passed
     assert report.max_abs_deviation <= 1e-10
 
@@ -92,53 +88,52 @@ def test_price_martingale_holds_with_informative_no_trade_region():
 def test_price_martingale_random_states():
     rng = np.random.default_rng(43)
     for _ in range(100):
-        state, structure, eta = random_market_state(rng)
-        assert check_price_martingale(state, structure, eta).passed
+        belief, structure, eta = random_case(rng)
+        assert one_step_reports(belief, structure, eta)["price_martingale"].passed
 
 
 # ---------------------------------------------------------------- likelihood ratio martingale
 
 def test_likelihood_ratio_martingale_point_mass_truth():
     structure = binary_symmetric(0.8)
-    state = initial_market_state(Belief.point_mass(2, 1), structure, 0.5)
-    report = check_likelihood_ratio_martingale(state, structure, 0.5, true_state=1)
+    report = one_step_reports(Belief.point_mass(2, 1), structure, 0.5,
+                              true_state=1)["likelihood_ratio_martingale"]
     assert report.passed
     assert report.witness["lambda"] == 0.0
 
 
 def test_likelihood_ratio_martingale_binary():
-    report = check_likelihood_ratio_martingale(binary_state(), binary_symmetric(0.8), 0.5, true_state=1)
+    report = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 0.5,
+                              true_state=1)["likelihood_ratio_martingale"]
     assert report.passed
 
 
 def test_likelihood_ratio_martingale_degenerate_guard():
     structure = binary_symmetric(0.8)
-    state = initial_market_state(Belief.point_mass(2, 0), structure, 0.5)
     with pytest.raises(DegenerateBelief):
-        check_likelihood_ratio_martingale(state, structure, 0.5, true_state=1)
+        one_step_reports(Belief.point_mass(2, 0), structure, 0.5, true_state=1)
 
 
 def test_likelihood_ratio_martingale_random_states():
     rng = np.random.default_rng(47)
     for _ in range(100):
-        state, structure, eta = random_market_state(rng)
+        belief, structure, eta = random_case(rng)
         true_state = int(rng.integers(0, structure.n_states))
-        assert check_likelihood_ratio_martingale(state, structure, eta, true_state).passed
+        assert one_step_reports(belief, structure, eta, true_state)["likelihood_ratio_martingale"].passed
 
 
 # ---------------------------------------------------------------- directional effects
 
 def test_price_directions_binary():
     # conditional expectations straddle the current one: 0.68 > 0.5 > 0.32
-    state = binary_state()
-    report = check_price_directions(state, binary_symmetric(0.8), 0.5)
+    report = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 0.5)["price_directions"]
     assert report.passed
     assert report.witness["conditional"]["B"] == pytest.approx(0.68, abs=1e-12)
     assert report.witness["conditional"]["S"] == pytest.approx(0.32, abs=1e-12)
 
 
 def test_price_directions_cascade_state_all_equal():
-    report = check_price_directions(cascade_state(), four_state_cascade(), 0.5)
+    report = one_step_reports(Belief.uniform(4), four_state_cascade(), 0.5)["price_directions"]
     assert report.passed
     conds = report.witness["conditional"]
     for action in ("B", "S", "NT"):
@@ -149,22 +144,21 @@ def test_price_directions_informative_no_trade_region():
     # E[w | no-trade] genuinely differs from E[w] here; the direction check
     # must still pass because the equality claim applies only to
     # state-independent no-trade mass
-    state = initial_market_state(Belief.uniform(2), ASYMMETRIC_MIDDLE, 0.5)
-    exp_val = expectation(ASYMMETRIC_MIDDLE.states, state.belief)
-    nt_belief = update_public_belief_on_action(
-        state.belief, ASYMMETRIC_MIDDLE, state.partition, 0.5, "NT"
-    )
+    belief = Belief.uniform(2)
+    _, partition = solve_quotes(belief, ASYMMETRIC_MIDDLE, 0.5)
+    exp_val = expectation(ASYMMETRIC_MIDDLE.states, belief)
+    nt_belief = update_public_belief_on_action(belief, ASYMMETRIC_MIDDLE, partition, 0.5, "NT")
     nt_cond = expectation(ASYMMETRIC_MIDDLE.states, nt_belief)
     assert abs(nt_cond - exp_val) > 1e-3
-    report = check_price_directions(state, ASYMMETRIC_MIDDLE, 0.5)
+    report = one_step_reports(belief, ASYMMETRIC_MIDDLE, 0.5)["price_directions"]
     assert report.passed
 
 
 def test_price_directions_random_states():
     rng = np.random.default_rng(53)
     for _ in range(200):
-        state, structure, eta = random_market_state(rng)
-        assert check_price_directions(state, structure, eta).passed
+        belief, structure, eta = random_case(rng)
+        assert one_step_reports(belief, structure, eta)["price_directions"].passed
 
 
 # ---------------------------------------------------------------- long-run support check
@@ -246,18 +240,17 @@ def test_martingale_suite_rejects_empty_runs(trials):
 ])
 def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
     # the suite's worst deviation and worst trial per identity are the
-    # running maximum (latest trial on ties) of the public checks over the
-    # same randomized states
+    # running maximum (latest trial on ties) of one_step_reports over the
+    # same randomized states, drawn as structure, eta, belief, true state
     trials = 150
     rng = np.random.default_rng(seed)
     worst = {}
     for trial in range(trials):
-        state, struct, e = random_market_state(rng, structure=structure, eta=eta)
+        struct = structure if structure is not None else random_structure(rng)
+        e = eta if eta is not None else float(rng.uniform(0.05, 0.95))
+        belief = random_belief(rng, struct.n_states)
         true_state = int(rng.integers(0, struct.n_states))
-        for report in (check_belief_martingale(state, struct, e),
-                       check_price_martingale(state, struct, e),
-                       check_likelihood_ratio_martingale(state, struct, e, true_state),
-                       check_price_directions(state, struct, e)):
+        for report in one_step_reports(belief, struct, e, true_state).values():
             if report.max_abs_deviation >= worst.get(report.check_name, (0.0, None))[0]:
                 worst[report.check_name] = (report.max_abs_deviation, trial)
 
