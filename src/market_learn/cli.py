@@ -60,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--slack", type=float, default=0.05,
                        help="statistical slack for the learning containment check")
 
-    p_scan = sub.add_parser("cascade-scan", help="locate cascade beliefs across target expectations")
+    p_scan = sub.add_parser("cascade-scan", help="locate cascade beliefs at each state value and gap midpoint")
     add_common(p_scan)
-    p_scan.add_argument("--c-points", type=int, default=201, help="grid points across the value hull")
     p_scan.add_argument("--c", type=float, default=None, help="probe a single target expectation")
     p_scan.add_argument("--tol", type=float, default=1e-9, help="cascade residual tolerance")
 
@@ -186,7 +185,7 @@ def _cmd_cascade_scan(args) -> int:
         from .conditions import find_cascade_beliefs
         found = [find_cascade_beliefs(config.structure, args.c, tol=args.tol)]
     else:
-        found = scan_cascades(config.structure, c_points=args.c_points, tol=args.tol)
+        found = scan_cascades(config.structure, tol=args.tol)
     _emit_json({
         "candidates": [entry.as_dict() for entry in found],
         "full_support_cascades": sum(1 for entry in found if entry.beliefs),

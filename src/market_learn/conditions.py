@@ -8,11 +8,14 @@ target expectation ``c`` those beliefs are exactly the probability vectors in
 the null space of the matrix ``M(c)[s, w] = f(s|w) (w - c)``, which is what
 :func:`find_cascade_beliefs` solves.
 
-The audit in :func:`azc_audit` is a numerical sweep, not a proof: it reports
-the empirical floor of the expectation movement over a large audited belief
-set.  A definition quantifying over *all* full-support beliefs cannot be
-certified by finitely many evaluations; in particular the audit makes no
-claim about a uniform lower bound epsilon, only about the beliefs it visited.
+Off the state values that null space is ``diag(w - c)^-1 null(L^T)``, and a
+vector ``x`` of ``null(L^T)`` maps to a full-support belief exactly when it
+is negative on the states below ``c`` and positive on those above.  That sign
+pattern is the same for every ``c`` between two adjacent state values, so
+whether a full-support cascade belief exists is constant on each such gap.
+:func:`scan_cascades` therefore decides existence over the whole value hull
+with one probe per state value and one per gap, and :func:`azc_audit` audits
+the beliefs those probes return.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "find_cascade_beliefs",
     "scan_cascades",
     "azc_audit",
-    "simplex_grid",
 ]
 
 # Rank cutoff for the null-space extraction, relative to the largest
@@ -49,11 +51,6 @@ NULLSPACE_RCOND = 1e-10
 # Weights below this floor are treated as boundary (not full support) when
 # classifying numerically obtained cascade beliefs.
 FULL_SUPPORT_FLOOR = 1e-9
-
-# Above 4 states the movement audit replaces its simplex grid with a seeded
-# Dirichlet sample of this many beliefs.
-AUDIT_SAMPLE_COUNT = 100_000
-AUDIT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,6 @@ class CascadeBeliefSet:
 @dataclass(frozen=True)
 class AzcAuditReport:
     delta: float
-    grid_resolution: int
     worst_belief: Optional[Belief]
     min_max_movement: float
     verdict: str  # "pass" | "fail"
@@ -107,7 +103,6 @@ class AzcAuditReport:
     def as_dict(self) -> dict:
         return {
             "delta": self.delta,
-            "grid_resolution": self.grid_resolution,
             "worst_belief": None if self.worst_belief is None else list(map(float, self.worst_belief.weights)),
             "min_max_movement": self.min_max_movement,
             "verdict": self.verdict,
@@ -308,46 +303,26 @@ def find_cascade_beliefs(
     )
 
 
-def _candidate_expectations(structure: SignalStructure, c_points: int) -> np.ndarray:
-    """A hull grid plus the state values.  Off the state values the null
-    space of the cascade matrix is ``diag(w - c)^-1 null(L^T)``, of dimension
-    ``n - rank(L)`` at every such ``c``, so only at a state value can the
-    dimension jump."""
-    grid = np.linspace(structure.states.low, structure.states.high, c_points)
-    return np.concatenate([grid, structure.states.values])
+def _probe_expectations(structure: SignalStructure) -> np.ndarray:
+    """The state values and the midpoints between adjacent ones, in
+    increasing order: existence of a full-support cascade belief is constant
+    on each open gap between state values, so its midpoint decides it."""
+    values = structure.states.values
+    probes = np.empty(2 * len(values) - 1)
+    probes[0::2] = values
+    probes[1::2] = (values[:-1] + values[1:]) / 2
+    return probes
 
 
-def scan_cascades(
-    structure: SignalStructure,
-    c_points: int = 201,
-    tol: float = 1e-9,
-) -> list[CascadeBeliefSet]:
-    """Probe candidate target expectations across the hull and keep every
-    one whose cascade system has a nontrivial solution space."""
-    if c_points < 1:
-        raise PreconditionFailed(f"the scan needs at least one grid point, got {c_points}")
+def scan_cascades(structure: SignalStructure, tol: float = 1e-9) -> list[CascadeBeliefSet]:
+    """Probe every state value and every gap midpoint and keep each target
+    whose cascade system has a nontrivial solution space."""
     found = []
-    seen = set()
-    for c in _candidate_expectations(structure, c_points):
-        key = round(float(c), 12)
-        if key in seen:
-            continue
-        seen.add(key)
+    for c in _probe_expectations(structure):
         result = find_cascade_beliefs(structure, float(c), tol=tol)
         if result.basis_dimension > 0:
             found.append(result)
-    found.sort(key=lambda r: r.target_expectation)
     return found
-
-
-def simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """All full-support lattice beliefs (k_1, ..., k_n)/resolution with
-    integer k_i >= 1; shape (count, n)."""
-    if resolution < n:
-        raise PreconditionFailed(f"resolution {resolution} cannot place positive mass on {n} states")
-    cuts = itertools.combinations(range(1, resolution), n - 1)
-    rows = [np.diff((0,) + cut + (resolution,)) for cut in cuts]
-    return np.asarray(rows, dtype=float) / resolution
 
 
 def _entropy(weights: np.ndarray) -> float:
@@ -358,80 +333,47 @@ def _entropy(weights: np.ndarray) -> float:
 def azc_audit(
     structure: SignalStructure,
     delta: float,
-    grid_resolution: int = 50,
     movement_tol: float = 1e-9,
 ) -> AzcAuditReport:
-    """Numerically audit the no-cascade movement condition.
+    """Decide whether a full-support cascade belief violates the no-cascade
+    movement condition.
 
-    Audited beliefs are (a) a full-support simplex grid (a seeded Dirichlet
-    sample of ``AUDIT_SAMPLE_COUNT`` beliefs replaces the grid above 4 states)
-    and (b) every belief located by the cascade scan across candidate target
-    expectations.  Among audited beliefs that are mispriced against at least
-    one support state by more than ``delta``, the audit records the smallest
-    value of the worst-case expectation movement max_s |E[w|s] - E[w]|.
-
-    The verdict is ``fail`` exactly when that floor is at or below
-    ``movement_tol``; ties are reported through the maximum-entropy belief
-    achieving the floor.  Only full-support beliefs are audited: the cascade
-    scan drops every boundary solution, so a cascade belief on the simplex
-    boundary never reaches the audit and cannot make it fail.
+    The audited beliefs are the full-support cascade beliefs that
+    :func:`scan_cascades` returns, one per probed target at most.  A belief
+    is eligible when its expectation is mispriced against some state by more
+    than ``delta``.  The verdict is ``fail`` exactly when an eligible belief
+    exists; the maximum-entropy one is reported as ``worst_belief``, and
+    ``min_max_movement`` is its own worst-case expectation movement
+    max_s |E[w|s] - E[w]|, at most ``movement_tol``.  With no eligible belief
+    the verdict is ``pass``, ``worst_belief`` is ``None`` and the movement is
+    ``inf``.  Boundary cascade beliefs are never audited.
     """
-    if delta <= 0:
-        raise PreconditionFailed("delta must be positive")
-    if grid_resolution < 2:
-        raise PreconditionFailed("grid_resolution must be at least 2")
-
-    n = structure.n_states
-    if n <= 4:
-        beliefs = simplex_grid(n, grid_resolution)
-    else:
-        rng = np.random.default_rng(AUDIT_SEED)
-        beliefs = rng.dirichlet(np.ones(n), size=AUDIT_SAMPLE_COUNT)
-        beliefs = np.maximum(beliefs, 1e-12)
-        beliefs /= beliefs.sum(axis=1, keepdims=True)
-
-    cascade_rows = [
-        b.weights
-        for result in scan_cascades(structure, tol=movement_tol)
-        for b in result.beliefs
-    ]
-    if cascade_rows:
-        beliefs = np.vstack([beliefs, np.asarray(cascade_rows)])
+    if not delta > 0:
+        raise PreconditionFailed(f"delta must be positive, got {delta}")
 
     values = structure.states.values
-    table = structure.likelihood
-    exp_vals = beliefs @ values
-    movement = np.zeros(len(beliefs))
-    for j in range(structure.n_signals):
-        joint = beliefs * table[:, j]
-        post_exp = (joint @ values) / joint.sum(axis=1)
-        np.maximum(movement, np.abs(post_exp - exp_vals), out=movement)
-
-    support_gap = np.where(beliefs > 0, np.abs(exp_vals[:, None] - values[None, :]), 0.0)
-    eligible = support_gap.max(axis=1) > delta
-
-    if not eligible.any():
+    eligible = [
+        belief
+        for result in scan_cascades(structure, tol=movement_tol)
+        for belief in result.beliefs
+        if np.abs(expectation(structure.states, belief) - values).max() > delta
+    ]
+    if not eligible:
         return AzcAuditReport(
             delta=delta,
-            grid_resolution=grid_resolution,
             worst_belief=None,
             min_max_movement=float("inf"),
             verdict="pass",
             audited=0,
         )
 
-    eligible_movement = movement[eligible]
-    eligible_beliefs = beliefs[eligible]
-    floor = float(eligible_movement.min())
-    tie_threshold = movement_tol if floor <= movement_tol else floor
-    tied = np.flatnonzero(eligible_movement <= tie_threshold)
-    worst_idx = max(tied, key=lambda i: _entropy(eligible_beliefs[i]))
-    worst = Belief.from_unnormalized(eligible_beliefs[worst_idx])
+    worst = max(eligible, key=lambda belief: _entropy(belief.weights))
+    exp_val = expectation(structure.states, worst)
+    movement = float(np.abs(posterior_values(worst, structure) - exp_val).max())
     return AzcAuditReport(
         delta=delta,
-        grid_resolution=grid_resolution,
         worst_belief=worst,
-        min_max_movement=floor,
-        verdict="fail" if floor <= movement_tol else "pass",
-        audited=int(eligible.sum()),
+        min_max_movement=movement,
+        verdict="fail",
+        audited=len(eligible),
     )

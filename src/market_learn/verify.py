@@ -280,6 +280,8 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
     are not given, a full-support belief and a true state."""
     if trials < 1:
         raise PreconditionFailed(f"the suite needs at least one trial, got {trials}")
+    if seed < 0:
+        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     names = ["belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions"]
     worst = {name: (0.0, None) for name in names}

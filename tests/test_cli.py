@@ -259,16 +259,22 @@ def test_invalid_structure_in_scenario_exits_one(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--trials", "0"),
-    ("cascade-scan", "--c-points", "0"),
-    ("cascade-scan", "--c-points", "-1"),
 ])
 def test_empty_runs_exit_one(capsys, binary_file, argv):
-    # a suite of no trials or a scan of no grid points checks nothing, so it
-    # must not report success
+    # a suite of no trials checks nothing, so it must not report success
     code, out, err = run_cli(capsys, *argv, "--scenario", str(binary_file))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    # without a scenario the seed goes straight to the randomized suite
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--trials", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "seed" in err
 
 
 def test_help_exits_zero(capsys):

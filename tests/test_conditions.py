@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from market_learn.conditions import (
     is_mlrp,
     is_pairwise_informative,
     scan_cascades,
-    simplex_grid,
 )
 from market_learn.errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
-from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace
+from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, posterior_values
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
+from market_learn.verify import random_mlrp_structure, random_structure
 
 
 def make_structure(states, rows, labels=None):
@@ -40,6 +41,16 @@ def mlrp_bruteforce(structure, strict):
 DUPLICATED_ROWS = make_structure(
     [0, 1, 2],
     [[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]],
+)
+
+# Three states, binary signals, f(h|w) = (0.2, 0.8, 0.5): pairwise
+# informative, yet null(L^T) is spanned by (-1, -1, 2), so every c in (1, 2)
+# carries the full-support cascade belief proportional to
+# (1/c, 1/(c - 1), 2/(2 - c)); at c = 1.5 that is (0.1, 0.3, 0.6).
+HILL_SHAPED = make_structure(
+    [0, 1, 2],
+    [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]],
+    labels=("l", "h"),
 )
 
 
@@ -193,21 +204,39 @@ def test_find_cascade_beliefs_out_of_hull():
 
 def test_emitted_cascade_beliefs_satisfy_cascade_check():
     structure = four_state_cascade()
-    for entry in scan_cascades(structure, c_points=101):
+    for entry in scan_cascades(structure):
         for belief in entry.beliefs:
             assert is_cascade_belief(structure, belief, tol=1e-9).holds
 
 
-def test_scan_cascades_probes_the_grid_and_the_state_values():
+def test_scan_cascades_probes_the_state_values_and_the_midpoints():
     # the four-state table has rank 3, so the cascade null space is one
-    # dimensional at every target; the state value 2.0, off the 201-point
-    # grid, is probed exactly and holds only the point mass on that state
+    # dimensional at every target and every probe is reported; the state
+    # value 2.0 holds only the point mass on that state
     found = scan_cascades(four_state_cascade())
     targets = [entry.target_expectation for entry in found]
-    assert targets == sorted(set(np.linspace(0.0, 3.0, 201)) | {0.0, 1.0, 2.0, 3.0})
-    at_two = next(entry for entry in found if entry.target_expectation == 2.0)
-    assert at_two.basis_dimension == 1
-    assert at_two.beliefs == ()
+    assert targets == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert all(entry.basis_dimension == 1 for entry in found)
+    assert [entry.target_expectation for entry in found if entry.beliefs] == [1.5]
+    np.testing.assert_allclose(found[3].beliefs[0].weights, 0.25, atol=1e-12)
+
+
+def test_hill_shaped_three_state_example_has_one_cascade():
+    assert is_pairwise_informative(HILL_SHAPED).holds
+    found = scan_cascades(HILL_SHAPED)
+    cascades = [entry for entry in found if entry.beliefs]
+    assert [entry.target_expectation for entry in cascades] == [1.5]
+    (belief,) = cascades[0].beliefs
+    np.testing.assert_allclose(belief.weights, (0.1, 0.3, 0.6), atol=1e-12)
+    np.testing.assert_allclose(posterior_values(belief, HILL_SHAPED), 1.5, atol=1e-12)
+    # in exact arithmetic both posterior expectations of (0.1, 0.3, 0.6) are 1.5
+    mu = (Fraction(1, 10), Fraction(3, 10), Fraction(6, 10))
+    for f in ((Fraction(4, 5), Fraction(1, 5), Fraction(1, 2)), (Fraction(1, 5), Fraction(4, 5), Fraction(1, 2))):
+        joint = [fw * mw for fw, mw in zip(f, mu)]
+        assert sum(w * p for w, p in zip((0, 1, 2), joint)) / sum(joint) == Fraction(3, 2)
+    report = azc_audit(HILL_SHAPED, delta=0.1)
+    assert report.verdict == "fail"
+    np.testing.assert_allclose(report.worst_belief.weights, (0.1, 0.3, 0.6), atol=1e-12)
 
 
 def _low_rank_table(rng, n, m, rank):
@@ -220,10 +249,7 @@ def _low_rank_table(rng, n, m, rank):
 
 def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
     # off the state values the cascade null space is diag(w - c)^-1 null(L^T),
-    # so its dimension is n - rank(L) at every target: the fact that lets
-    # scan_cascades probe a grid plus the state values and nothing else
-    from market_learn.verify import random_mlrp_structure, random_structure
-
+    # so its dimension is n - rank(L) at every target
     rng = np.random.default_rng(97)
     structures = [random_structure(rng) for _ in range(15)]
     structures += [random_mlrp_structure(rng) for _ in range(10)]
@@ -242,28 +268,63 @@ def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
     assert deficiencies == {0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("c_points", [0, -1])
-def test_scan_cascades_rejects_an_empty_grid(c_points):
-    with pytest.raises(PreconditionFailed):
-        scan_cascades(binary_symmetric(), c_points=c_points)
+def _scan_structures(rng):
+    """Random, strict-MLRP and low-rank structures, the last built so that
+    some of them carry full-support cascade beliefs."""
+    structures = [random_structure(rng) for _ in range(15)]
+    structures += [random_mlrp_structure(rng) for _ in range(10)]
+    for n, m, rank in [(3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 3), (4, 4, 2), (4, 5, 3)] * 3:
+        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
+        structures.append(make_structure(values, _low_rank_table(rng, n, m, rank)))
+    return structures
+
+
+def test_cascade_existence_is_constant_on_each_gap():
+    # a full-support cascade belief at c is diag(w - c)^-1 x for some x in
+    # null(L^T) that is negative below c and positive above it; the sign
+    # pattern does not change between adjacent state values, so the midpoint
+    # probe of scan_cascades decides the whole gap
+    rng = np.random.default_rng(211)
+    gaps_with_cascades = 0
+    for structure in _scan_structures(rng):
+        values = structure.states.values
+        for lo, hi in zip(values[:-1], values[1:]):
+            expected = bool(find_cascade_beliefs(structure, (lo + hi) / 2).beliefs)
+            gaps_with_cascades += expected
+            for t in (0.1, 0.3, 0.7, 0.9):
+                c = lo + t * (hi - lo)
+                assert bool(find_cascade_beliefs(structure, c).beliefs) == expected, (structure, c)
+    assert gaps_with_cascades > 0
+
+
+def test_strict_mlrp_and_pi_give_no_full_support_cascade():
+    rng = np.random.default_rng(223)
+    for _ in range(200):
+        structure = random_mlrp_structure(rng)
+        assert is_mlrp(structure, strict=True).holds
+        assert is_pairwise_informative(structure).holds
+        assert not any(entry.beliefs for entry in scan_cascades(structure)), structure
+
+
+def test_full_rank_tables_give_no_full_support_cascade():
+    # for full-support mu the vector diag(w - c) mu is nonzero, and a
+    # full-rank table leaves it no room in null(L^T)
+    rng = np.random.default_rng(227)
+    full_rank = 0
+    for _ in range(300):
+        structure = random_structure(rng)
+        if np.linalg.matrix_rank(structure.likelihood) < structure.n_states:
+            continue
+        full_rank += 1
+        assert not any(entry.beliefs for entry in scan_cascades(structure)), structure
+    assert full_rank > 100
 
 
 def test_row_constant_structure_cascades_everywhere():
     structure = make_structure([0, 1], [[0.5, 0.5], [0.5, 0.5]])
-    report = azc_audit(structure, delta=0.1, grid_resolution=20)
+    report = azc_audit(structure, delta=0.1)
     assert report.verdict == "fail"
     assert report.min_max_movement == pytest.approx(0.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- simplex grid
-
-def test_simplex_grid_counts_and_support():
-    from math import comb
-
-    grid = simplex_grid(3, 10)
-    assert grid.shape == (comb(9, 2), 3)
-    assert np.all(grid > 0)
-    np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- movement audit
@@ -276,27 +337,26 @@ def test_azc_audit_four_state_fails_at_uniform():
 
 
 def test_azc_audit_binary_passes_with_positive_floor():
-    report = azc_audit(binary_symmetric(0.8), delta=0.1, grid_resolution=100)
+    report = azc_audit(binary_symmetric(0.8), delta=0.1)
     assert report.verdict == "pass"
-    # floor attained at the most lopsided grid belief (0.01, 0.99):
-    # E[w|l] = 0.198/0.206 vs E[w] = 0.99 -> movement about 0.0288
-    assert report.min_max_movement == pytest.approx(0.0288, abs=2e-3)
-    assert report.min_max_movement > 0.01
+    assert report.min_max_movement == float("inf")
+    assert report.worst_belief is None
+    assert report.audited == 0
 
 
 def test_azc_audit_flags_known_cascade_belief_even_off_grid():
-    # audit at a resolution whose lattice misses the uniform belief; the
-    # cascade sweep must still locate a zero-movement belief
-    report = azc_audit(four_state_cascade(), delta=0.1, grid_resolution=17)
+    # no belief grid is audited: the midpoint probe of the gap (1, 2) alone
+    # must locate the zero-movement uniform belief
+    report = azc_audit(four_state_cascade(), delta=0.1)
     assert report.verdict == "fail"
 
 
 @pytest.mark.parametrize("kwargs", [
     {"delta": 0.0},
     {"delta": -0.1},
-    {"delta": 0.1, "grid_resolution": 1},
-    # a lattice of resolution 3 cannot give all four states positive mass
-    {"structure": four_state_cascade(), "delta": 0.1, "grid_resolution": 3},
+    # every mispricing comparison with NaN is false, so an unchecked NaN
+    # would pass even the four-state table
+    pytest.param({"structure": four_state_cascade(), "delta": float("nan")}, id="nan"),
 ])
 def test_azc_audit_rejects_bad_parameters(kwargs):
     with pytest.raises(PreconditionFailed):
@@ -304,14 +364,12 @@ def test_azc_audit_rejects_bad_parameters(kwargs):
 
 
 def test_azc_audit_three_state_pi_passes():
-    report = azc_audit(three_state_informative(), delta=0.1, grid_resolution=40)
+    report = azc_audit(three_state_informative(), delta=0.1)
     assert report.verdict == "pass"
-    assert report.min_max_movement > 1e-4
+    assert report.min_max_movement == float("inf")
 
 
 def test_strict_mlrp_implies_pairwise_informative_sample():
-    from market_learn.verify import random_mlrp_structure, random_structure
-
     rng = np.random.default_rng(31)
     strict_count = 0
     for _ in range(100):

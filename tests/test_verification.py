@@ -232,6 +232,11 @@ def test_martingale_suite_rejects_empty_runs(trials):
         run_martingale_suite(trials=trials)
 
 
+def test_martingale_suite_rejects_a_negative_seed():
+    with pytest.raises(PreconditionFailed, match="seed"):
+        run_martingale_suite(trials=5, seed=-1)
+
+
 @pytest.mark.parametrize("seed, structure, eta", [
     (3, None, None),
     (5, three_state_informative(), 0.5),
