@@ -14,8 +14,9 @@ is negative on the states below ``c`` and positive on those above.  That sign
 pattern is the same for every ``c`` between two adjacent state values, so
 whether a full-support cascade belief exists is constant on each such gap.
 :func:`scan_cascades` therefore decides existence over the whole value hull
-with one probe per state value and one per gap, and :func:`azc_audit` audits
-the beliefs those probes return.
+with one probe per state value and one per gap.  :func:`azc_audit` probes the
+same way, but on each gap at a target whose mispricing exceeds its ``delta``
+when the gap has one, since a cascade belief's expectation is its target.
 """
 
 from __future__ import annotations
@@ -330,6 +331,37 @@ def _entropy(weights: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
+def _audit_targets(values: np.ndarray, delta: float) -> list[float]:
+    """One target per state value and per gap, in increasing order, whose
+    mispricing max(c - w_1, w_n - c) exceeds ``delta``; values and gaps
+    without such a target are skipped.
+
+    A gap contributes its midpoint when that is mispriced enough.  Otherwise
+    the midpoint lies in [w_n - delta, w_1 + delta], the part of the hull the
+    convex mispricing keeps at or below ``delta``, and what is left of the
+    gap is the open pieces (lo, w_n - delta) and (w_1 + delta, hi); the
+    midpoint of the longer one is the target if that piece is not empty.
+    """
+    low, high = values[0], values[-1]
+
+    def mispriced(c):
+        return max(c - low, high - c) > delta
+
+    targets = []
+    for k, value in enumerate(values):
+        if k:
+            lo, hi = values[k - 1], value
+            mid = (lo + hi) / 2
+            a, b = max([(lo, high - delta), (low + delta, hi)], key=lambda piece: piece[1] - piece[0])
+            if mispriced(mid):
+                targets.append(float(mid))
+            elif a < b:
+                targets.append(float((a + b) / 2))
+        if mispriced(value):
+            targets.append(float(value))
+    return targets
+
+
 def azc_audit(
     structure: SignalStructure,
     delta: float,
@@ -338,11 +370,15 @@ def azc_audit(
     """Decide whether a full-support cascade belief violates the no-cascade
     movement condition.
 
-    The audited beliefs are the full-support cascade beliefs that
-    :func:`scan_cascades` returns, one per probed target at most.  A belief
-    is eligible when its expectation is mispriced against some state by more
-    than ``delta``.  The verdict is ``fail`` exactly when an eligible belief
-    exists; the maximum-entropy one is reported as ``worst_belief``, and
+    A belief is eligible when its expectation is mispriced against some
+    state by more than ``delta``.  A cascade belief at target ``c`` has
+    expectation ``c``, and whether a full-support one exists is constant on
+    each open gap between adjacent state values, so the audit probes one
+    target per state value and one per gap wherever the mispricing exceeds
+    ``delta`` (see :func:`_audit_targets`) and audits the beliefs
+    :func:`find_cascade_beliefs` returns there.  The verdict is ``fail``
+    exactly when an eligible belief exists; the largest-entropy one among
+    these audited witnesses is reported as ``worst_belief``, and
     ``min_max_movement`` is its own worst-case expectation movement
     max_s |E[w|s] - E[w]|, at most ``movement_tol``.  With no eligible belief
     the verdict is ``pass``, ``worst_belief`` is ``None`` and the movement is
@@ -354,8 +390,8 @@ def azc_audit(
     values = structure.states.values
     eligible = [
         belief
-        for result in scan_cascades(structure, tol=movement_tol)
-        for belief in result.beliefs
+        for c in _audit_targets(values, delta)
+        for belief in find_cascade_beliefs(structure, c, tol=movement_tol).beliefs
         if np.abs(expectation(structure.states, belief) - values).max() > delta
     ]
     if not eligible:

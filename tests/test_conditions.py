@@ -247,17 +247,25 @@ def _low_rank_table(rng, n, m, rank):
     return mix @ basis
 
 
+def _scan_structures(rng, extra_specs=()):
+    """Random, strict-MLRP and low-rank structures, the last built so that
+    some of them carry full-support cascade beliefs; ``extra_specs`` adds
+    low-rank tables as (n, m, rank) triples."""
+    structures = [random_structure(rng) for _ in range(15)]
+    structures += [random_mlrp_structure(rng) for _ in range(10)]
+    specs = [(3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 3), (4, 4, 2), (4, 5, 3)] * 3 + list(extra_specs)
+    for n, m, rank in specs:
+        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
+        structures.append(make_structure(values, _low_rank_table(rng, n, m, rank)))
+    return structures
+
+
 def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
     # off the state values the cascade null space is diag(w - c)^-1 null(L^T),
     # so its dimension is n - rank(L) at every target
     rng = np.random.default_rng(97)
-    structures = [random_structure(rng) for _ in range(15)]
-    structures += [random_mlrp_structure(rng) for _ in range(10)]
-    for n, m, rank in [(3, 2, 2), (4, 2, 2), (4, 3, 3), (3, 3, 2), (4, 4, 2), (4, 5, 3), (4, 5, 1), (3, 5, 1)]:
-        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
-        structures.append(make_structure(values, _low_rank_table(rng, n, m, rank)))
     deficiencies = set()
-    for structure in structures:
+    for structure in _scan_structures(rng, extra_specs=[(4, 5, 1), (3, 5, 1)]):
         values = structure.states.values
         deficiency = structure.n_states - np.linalg.matrix_rank(structure.likelihood)
         deficiencies.add(deficiency)
@@ -266,17 +274,6 @@ def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
                 continue
             assert find_cascade_beliefs(structure, c).basis_dimension == deficiency, (structure, c)
     assert deficiencies == {0, 1, 2, 3}
-
-
-def _scan_structures(rng):
-    """Random, strict-MLRP and low-rank structures, the last built so that
-    some of them carry full-support cascade beliefs."""
-    structures = [random_structure(rng) for _ in range(15)]
-    structures += [random_mlrp_structure(rng) for _ in range(10)]
-    for n, m, rank in [(3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 3), (4, 4, 2), (4, 5, 3)] * 3:
-        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
-        structures.append(make_structure(values, _low_rank_table(rng, n, m, rank)))
-    return structures
 
 
 def test_cascade_existence_is_constant_on_each_gap():
@@ -349,6 +346,56 @@ def test_azc_audit_flags_known_cascade_belief_even_off_grid():
     # must locate the zero-movement uniform belief
     report = azc_audit(four_state_cascade(), delta=0.1)
     assert report.verdict == "fail"
+
+
+@pytest.mark.parametrize("structure, delta, verdict", [
+    # the four-state cascade curve spans the gap (1, 2) of the hull [0, 3]:
+    # above delta = 1.5 only beliefs near c = 1 or c = 2 are mispriced enough,
+    # and since the gap is open none reaches 2
+    pytest.param(four_state_cascade(), 1.6, "fail", id="four_state-1.6"),
+    pytest.param(four_state_cascade(), 1.99, "fail", id="four_state-1.99"),
+    pytest.param(four_state_cascade(), 2.0, "pass", id="four_state-2.0"),
+    # the hill-shaped curve spans (1, 2) of the hull [0, 2]
+    pytest.param(HILL_SHAPED, 1.5, "fail", id="hill_shaped-1.5"),
+    pytest.param(HILL_SHAPED, 1.9, "fail", id="hill_shaped-1.9"),
+    pytest.param(HILL_SHAPED, 2.0, "pass", id="hill_shaped-2.0"),
+])
+def test_azc_audit_probes_the_mispriced_part_of_a_gap(structure, delta, verdict):
+    report = azc_audit(structure, delta=delta)
+    assert report.verdict == verdict
+    if verdict == "fail":
+        values = structure.states.values
+        assert np.abs(report.worst_belief.weights @ values - values).max() > delta
+        assert report.min_max_movement <= 1e-9
+
+
+def test_azc_audit_fails_exactly_when_a_cascade_target_is_mispriced_beyond_delta():
+    # cascade beliefs at c have expectation c, and on a gap (lo, hi) that
+    # carries them c ranges over the whole open gap, so their mispricing
+    # max(c - w_1, w_n - c) comes arbitrarily close to max(hi - w_1, w_n - lo)
+    # without reaching it; at a state value it is that value's own mispricing
+    rng = np.random.default_rng(229)
+    beyond_the_midpoint = 0
+    for structure in _scan_structures(rng):
+        values = structure.states.values
+        low, high = values[0], values[-1]
+        reach, midpoint_reach = [], []
+        for entry in scan_cascades(structure):
+            if not entry.beliefs:
+                continue
+            c = entry.target_expectation
+            k = int(np.searchsorted(values, c))
+            if values[k] == c:
+                reach.append(max(c - low, high - c))
+            else:
+                reach.append(max(values[k] - low, high - values[k - 1]))
+            midpoint_reach.append(max(c - low, high - c))
+        for fraction in (0.1, 0.45, 0.6, 0.8, 0.95):
+            delta = fraction * (high - low)
+            report = azc_audit(structure, delta=delta)
+            assert report.verdict == ("fail" if any(r > delta for r in reach) else "pass"), (structure, delta)
+            beyond_the_midpoint += report.verdict == "fail" and not any(r > delta for r in midpoint_reach)
+    assert beyond_the_midpoint > 0
 
 
 @pytest.mark.parametrize("kwargs", [
