@@ -90,7 +90,7 @@ def _apply_overrides(config, args):
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _write_episode_csv(results, config, path: Path) -> None:

@@ -105,15 +105,21 @@ class AzcAuditReport:
         return {
             "delta": self.delta,
             "worst_belief": None if self.worst_belief is None else list(map(float, self.worst_belief.weights)),
-            "min_max_movement": self.min_max_movement,
+            "min_max_movement": None if np.isinf(self.min_max_movement) else self.min_max_movement,
             "verdict": self.verdict,
             "audited": self.audited,
         }
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    if not tol >= 0:  # also rejects NaN
+        raise PreconditionFailed(f"{name} must be nonnegative, got {tol}")
+
+
 def is_pairwise_informative(structure: SignalStructure, tol: float = 1e-9) -> ConditionReport:
     """Every pair of states must induce distinct signal distributions: the
     largest per-signal difference between the two rows must exceed ``tol``."""
+    _check_tol(tol)
     table = structure.likelihood
     values = structure.states.values
     for i, j in itertools.combinations(range(structure.n_states), 2):
@@ -145,6 +151,7 @@ def find_crossing_signals(
     """
     if state_a == state_b:
         raise PreconditionFailed(f"state indices must differ, got {state_a} twice")
+    _check_tol(tol)
     diff = structure.likelihood[state_a] - structure.likelihood[state_b]
     hi = int(np.argmax(diff))
     lo = int(np.argmin(diff))
@@ -203,6 +210,7 @@ def is_mlrp(structure: SignalStructure, strict: bool = False) -> ConditionReport
 def is_cascade_belief(structure: SignalStructure, belief: Belief, tol: float = 1e-9) -> ConditionReport:
     """A belief is a cascade point when no signal moves the conditional
     expectation by more than ``tol``."""
+    _check_tol(tol)
     exp_val = expectation(structure.states, belief)
     moves = np.abs(posterior_values(belief, structure) - exp_val)
     worst = int(np.argmax(moves))
@@ -267,6 +275,7 @@ def find_cascade_beliefs(
     below the full-support floor) are not returned, though the reported
     ``basis_dimension`` still reflects them.
     """
+    _check_tol(tol)
     low, high = structure.states.low, structure.states.high
     if not (low <= c <= high):
         raise OutOfHull(f"target expectation {c} outside [{low}, {high}]")
@@ -386,6 +395,7 @@ def azc_audit(
     """
     if not delta > 0:
         raise PreconditionFailed(f"delta must be positive, got {delta}")
+    _check_tol(movement_tol, "movement_tol")
 
     values = structure.states.values
     eligible = [

@@ -6,10 +6,11 @@ selection suffered against informed traders.  Rearranged, the zero-profit ask
 is exactly the conditional expectation of the asset value given a buy, and
 symmetrically for the bid, which is how the solver computes candidates.
 
-:func:`quote_core` works on plain weight arrays and is what the private-mode
-episode loop and the one-step identity checks call; :func:`solve_quotes`
-wraps it in the value types and is the reference the tests pin against
-exhaustive enumeration.
+:func:`quote_core` solves one plain weight array and :func:`solve_quotes`
+wraps it in the value types: the scalar reference the tests pin against
+exhaustive enumeration.  :func:`quote_rows` solves every row of a weight
+array at once for the batched private-mode kernel, bit for bit as
+:func:`quote_core` does.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "BOUNDARY_BAND",
     "Quotes",
     "quote_core",
+    "quote_rows",
     "solve_quotes",
 ]
 
@@ -144,6 +146,64 @@ def _check_zero_profit(w, structure, e, signals, quote, exp_val, action):
         raise NoConsistentPartition(
             f"empty {action} side must quote the expectation, got {quote} vs {exp_val}"
         )
+
+
+def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w[r] @ x`` for every row of ``w``, ``x`` shared or stacked per row.
+    This stacked ``matmul`` rounds as the 1-D ``@`` does; ``w @ x``,
+    ``einsum`` and ``(w * x).sum(1)`` do not in many rows."""
+    return np.matmul(w[:, None, :], x)[:, 0]
+
+
+def _raise_where(bad: np.ndarray, error, message: str, w: np.ndarray) -> None:
+    if bad.any():
+        raise error(f"{message} (belief {w[np.argmax(bad)]!r})")
+
+
+def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
+    """:func:`quote_core` on every row of ``w`` for ``0 < e < 1``, with the
+    same checks and errors.  Returns ``(bid, ask, buy, sell, like_buy,
+    like_sell)``: per row the quotes, the sets as signal masks, and the
+    buy and sell action likelihoods.  Each side is the longest sorted prefix
+    :func:`_greedy_side` accepts, tested against the ``cumsum`` prefix
+    quotes; set masses sum the members in sorted order, masking the rest to
+    zero, which adds exactly.
+    """
+    values, table = structure.states.values, structure.likelihood
+    (rows, n), m = w.shape, table.shape[1]
+    r = np.arange(rows)[:, None]
+    exp_val = _row_products(w, values)
+    f_sig = _row_products(w, table)
+    num_sig = _row_products(values * w, table)
+    v = num_sig / f_sig
+    noise, informed = e / 3.0, 1.0 - e
+
+    sides = []
+    for sense, action in ((+1, BUY), (-1, SELL)):
+        order = np.argsort(-v if sense > 0 else v, axis=1, kind="stable")
+        num = np.concatenate([(noise * exp_val)[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
+        den = np.concatenate([np.full((rows, 1), noise), informed * f_sig[r, order]], axis=1).cumsum(1)
+        quote = num / den
+        # the empty prefix quotes the expectation itself, not (noise * exp_val) / noise
+        quote[:, 0] = exp_val
+        taken = np.logical_and.accumulate(sense * (v[r, order] - quote[:, :m]) > BOUNDARY_BAND, axis=1)
+        size = taken.sum(axis=1)
+        q = quote[r[:, 0], size]
+        mass = (table[np.arange(n)[:, None], order[:, None, :]] * taken[:, None, :]).sum(axis=2)
+        like = e / 3.0 + (1.0 - e) * mass
+        cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
+        _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
+                     f"{action} quote deviates from the conditional expectation of its trade", w)
+        _raise_where((size == 0) & (np.abs(q - exp_val) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(exp_val))),
+                     NoConsistentPartition, f"empty {action} side must quote the expectation", w)
+        members = np.zeros((rows, m), dtype=bool)
+        members[r, order] = taken
+        sides.append((q, members, like))
+
+    (ask, buy, like_buy), (bid, sell, like_sell) = sides
+    _raise_where((buy & sell).any(axis=1), NoConsistentPartition, "buy and sell sets overlap", w)
+    _raise_where(~(bid <= ask), NoConsistentPartition, "bid above ask", w)
+    return bid, ask, buy, sell, like_buy, like_sell
 
 
 def solve_quotes(

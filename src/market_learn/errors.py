@@ -34,10 +34,6 @@ class UnknownSignal(MarketLearnError):
     """Signal label is not part of the signal space."""
 
 
-class EmptySignalSet(MarketLearnError):
-    """A set-conditioned update was requested with an empty signal set."""
-
-
 class InvalidBelief(MarketLearnError):
     """Belief weights are negative, non-finite, or do not sum to one."""
 

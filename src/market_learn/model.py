@@ -13,13 +13,12 @@ accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptySignalSet,
     InvalidBelief,
     NonPositiveDensity,
     RowSumInvalid,
@@ -39,11 +38,8 @@ __all__ = [
     "SignalPartition",
     "validate_structure",
     "bayes_posterior",
-    "bayes_posterior_set",
     "expectation",
     "posterior_values",
-    "action_likelihood_vector",
-    "update_public_belief_on_action",
 ]
 
 BUY = "B"
@@ -168,12 +164,6 @@ class Belief:
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
-    def point_mass(cls, n: int, index: int) -> "Belief":
-        w = np.zeros(n)
-        w[index] = 1.0
-        return cls(w)
-
-    @classmethod
     def from_unnormalized(cls, raw) -> "Belief":
         return cls(_normalized(raw))
 
@@ -224,17 +214,13 @@ class SignalPartition:
     n_signals: int
     buy: tuple = ()
     sell: tuple = ()
-    no_trade: tuple = field(default=None)  # derived when omitted
+    no_trade: tuple = field(init=False)  # the signals in neither set
 
     def __post_init__(self):
         buy = tuple(int(j) for j in self.buy)
         sell = tuple(int(j) for j in self.sell)
-        no_trade = self.no_trade
-        if no_trade is None:
-            taken = set(buy) | set(sell)
-            no_trade = tuple(j for j in range(self.n_signals) if j not in taken)
-        else:
-            no_trade = tuple(int(j) for j in no_trade)
+        taken = set(buy) | set(sell)
+        no_trade = tuple(j for j in range(self.n_signals) if j not in taken)
         claimed = sorted(buy + sell + no_trade)
         if claimed != list(range(self.n_signals)):
             raise DimensionMismatch(
@@ -243,15 +229,6 @@ class SignalPartition:
         object.__setattr__(self, "buy", buy)
         object.__setattr__(self, "sell", sell)
         object.__setattr__(self, "no_trade", no_trade)
-
-    def indices_for(self, action: str) -> tuple:
-        if action == BUY:
-            return self.buy
-        if action == SELL:
-            return self.sell
-        if action == NO_TRADE:
-            return self.no_trade
-        raise KeyError(f"unknown action {action!r}")
 
     def action_of_index(self, j: int) -> str:
         if j in self.buy:
@@ -297,18 +274,6 @@ def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belie
     return Belief.from_unnormalized(belief.weights * structure.likelihood[:, j])
 
 
-def bayes_posterior_set(belief: Belief, structure: SignalStructure, signal_set: Iterable) -> Belief:
-    """Posterior after learning only that the signal lies in ``signal_set``,
-    i.e. an update with the set likelihood f(S|w) = sum of member columns."""
-    labels = list(signal_set)
-    if not labels:
-        raise EmptySignalSet("signal set must be nonempty")
-    # canonical summation order, so unordered inputs stay bit-deterministic
-    idx = sorted(structure.signals.index(s) for s in labels)
-    raw = belief.weights * structure.set_mass(idx)
-    return Belief.from_unnormalized(raw)
-
-
 def expectation(states: StateSpace, belief: Belief) -> float:
     """Expected asset value under the belief; always inside [w_1, w_n]."""
     return float(states.values @ belief.weights)
@@ -330,30 +295,3 @@ def _action_likelihood(structure: SignalStructure, signal_indices, e: float) -> 
     """eta/3 + (1 - eta) f(S|w) per state, for the action taken on the signal
     columns ``signal_indices`` (summed in the order given)."""
     return e / 3.0 + (1.0 - e) * structure.set_mass(signal_indices)
-
-
-def action_likelihood_vector(
-    structure: SignalStructure,
-    partition: SignalPartition,
-    eta,
-    action: str,
-) -> np.ndarray:
-    """Probability of observing ``action`` given each state:
-    eta/3 + (1 - eta) f(S_action | w).
-
-    The three action likelihoods for a fixed state always sum to 1.
-    """
-    return _action_likelihood(structure, partition.indices_for(action), _eta_value(eta))
-
-
-def update_public_belief_on_action(
-    belief: Belief,
-    structure: SignalStructure,
-    partition: SignalPartition,
-    eta,
-    action: str,
-) -> Belief:
-    """Bayes update of the public belief after observing only an action,
-    using the mixed noise/informed action likelihood."""
-    like = action_likelihood_vector(structure, partition, eta, action)
-    return Belief.from_unnormalized(belief.weights * like)

@@ -29,7 +29,6 @@ __all__ = [
     "structure_to_dict",
     "scenario_from_dict",
     "scenario_to_dict",
-    "load_structure",
     "load_scenario",
     "save_scenario",
 ]
@@ -143,10 +142,6 @@ def _load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path} is not valid JSON: {exc}") from exc
-
-
-def load_structure(path) -> SignalStructure:
-    return structure_from_dict(_load_json(path))
 
 
 def load_scenario(path) -> ScenarioConfig:

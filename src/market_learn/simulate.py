@@ -6,6 +6,10 @@ bit-identical for a given (config, seed) regardless of episode scheduling.
 Within an episode all randomness is drawn up front in a fixed order (true
 state, trader types, signals, noise actions), which also lets the two market
 modes share identical draws in comparisons.
+
+Private mode runs as one batched kernel: all episodes of a run step together
+as the rows of one weight array, and :func:`run_private_episode` is a batch
+of one.  Public mode steps one episode at a time.
 """
 
 from __future__ import annotations
@@ -15,16 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import quote_core
-from .errors import ConfigInvalid
-from .model import (
-    Belief,
-    SignalStructure,
-    _action_likelihood,
-    _check_weights,
-    _eta_value,
-    _normalized,
-)
+from .engine import _raise_where, _row_products, quote_rows
+from .errors import ConfigInvalid, InvalidBelief
+from .model import PROB_SUM_TOL, Belief, SignalStructure, _check_weights, _eta_value, _normalized
 
 __all__ = [
     "PRIVATE",
@@ -166,86 +163,90 @@ class ModeComparison:
         }
 
 
-@dataclass(frozen=True)
-class _EpisodeDraws:
-    true_state: int
-    informative: np.ndarray    # bool per period
-    signals: np.ndarray        # signal column index per period
-    noise_actions: np.ndarray  # 0/1/2 -> B/S/NT per period
-
-
-def _draw_episode(config: ScenarioConfig, episode_index: int) -> _EpisodeDraws:
+def _draw_episode(config: ScenarioConfig, episode_index: int):
+    """``(true_state, informative, signals, noise_actions)``, the last three
+    per period; noise actions 0/1/2 are B/S/NT."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
-    n = config.structure.n_states
-    t = config.horizon
+    structure, t = config.structure, config.horizon
     if config.true_state is None:
-        true_state = int(rng.choice(n, p=config.prior.weights))
+        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
     else:
         true_state = config.true_state
     informative = rng.random(t) >= config.eta
-    signals = rng.choice(config.structure.n_signals, size=t, p=config.structure.likelihood[true_state])
-    noise_actions = rng.integers(0, 3, size=t)
-    return _EpisodeDraws(true_state, informative, signals, noise_actions)
+    signals = rng.choice(structure.n_signals, size=t, p=structure.likelihood[true_state])
+    return true_state, informative, signals, rng.integers(0, 3, size=t)
+
+
+def _run_private(config: ScenarioConfig, episodes) -> list[EpisodeResult]:
+    """The private-signal episodes ``episodes`` of a run, stepped together
+    as the rows of one weight array.  Each period a noise trader acts
+    uniformly or an informed one on her signal's partition class, and the
+    market maker updates on the action alone.  A row whose partition is
+    all-no-trade leaves the active set: every action likelihood is then
+    state-independent, so the rest of its path is filled as constant."""
+    structure, e = config.structure, _eta_value(config.eta)
+    values, m, t_max = structure.states.values, structure.n_signals, config.horizon
+    size = len(episodes)
+    # per period the signal of an informed trader, else m + the noise action
+    true_state = np.empty(size, dtype=np.intp)
+    code = np.empty((size, t_max), dtype=np.min_scalar_type(m + 2))
+    for r, i in enumerate(episodes):
+        true_state[r], informative, signals, noise_actions = _draw_episode(config, i)
+        code[r] = np.where(informative, signals, m + noise_actions)
+
+    w = np.tile(config.prior.weights, (size, 1))
+    price = _row_products(w, values)
+    active = np.arange(size)
+    history = [(active, price, w)]  # the rows stepped in each period
+    cascade_time = np.full(size, -1)
+    for t in range(t_max + 1):
+        if 0.0 < e < 1.0:
+            bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, e)
+            trading = buy.any(axis=1) | sell.any(axis=1)
+        else:  # quote_core gives empty sets at eta 0 and 1
+            trading = np.zeros(active.size, dtype=bool)
+        cascade_time[active[~trading]] = t
+        if t == t_max or not trading.any():
+            break
+        if not trading.all():
+            active, w, price, bid, ask, buy, sell, like_buy, like_sell = (
+                x[trading] for x in (active, w, price, bid, ask, buy, sell, like_buy, like_sell))
+        # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
+        c = code[active, t].astype(np.intp)
+        rows, j = np.arange(active.size), np.minimum(c, m - 1)
+        action = np.where(c < m, np.where(buy[rows, j], 0, np.where(sell[rows, j], 1, 2)), c - m)
+        buys, sells = action == 0, action == 1
+        price = np.where(buys, ask, np.where(sells, bid, price))
+        like_nt = e / 3.0 + (1.0 - e) * (structure.likelihood * ~(buy | sell)[:, None, :]).sum(axis=2)
+        raw = w * np.where(buys[:, None], like_buy, np.where(sells[:, None], like_sell, like_nt))
+        total = raw.sum(axis=1)
+        _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
+        w = raw / total[:, None]
+        bad = ~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1)
+        _raise_where(bad | (np.abs(w.sum(axis=1) - 1.0) > PROB_SUM_TOL), InvalidBelief,
+                     f"belief weights must be finite, nonnegative and sum to 1 within {PROB_SUM_TOL}", w)
+        history.append((active, price, w))
+
+    # one path array per episode, from its stepped periods in time order
+    ids = np.concatenate([h[0] for h in history])
+    order = np.argsort(ids, kind="stable")
+    splits = np.cumsum(np.bincount(ids, minlength=size))[:-1]
+    prices = np.split(np.concatenate([h[1] for h in history])[order], splits)
+    beliefs = np.split(np.concatenate([h[2] for h in history])[order], splits)
+    del history
+    return [
+        EpisodeResult(episode=i, mode=PRIVATE, true_state=int(s), true_value=float(values[s]),
+                      price_path=np.pad(p, (0, t_max + 1 - len(p)), mode="edge"),
+                      belief_path=np.pad(b, ((0, t_max + 1 - len(b)), (0, 0)), mode="edge"),
+                      cascade_time=None if frozen < 0 else int(frozen), final_belief_on_truth=float(b[-1, s]))
+        for i, s, frozen, p, b in zip(episodes, true_state, cascade_time, prices, beliefs)
+    ]
 
 
 def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
-    """One private-signal episode: each period either a noise trader acts
-    uniformly or an informed trader acts on her signal's partition class;
-    the market maker updates the public belief from the action alone.
-
-    The loop carries plain weights through :func:`quote_core`, matching
-    :func:`solve_quotes` plus :func:`update_public_belief_on_action` bit for
-    bit.  Once the partition is all-no-trade nothing can move the belief or
-    the price (every action likelihood is state-independent), so the
-    remaining path is filled as constant.
-    """
-    draws = _draw_episode(config, episode_index)
-    structure, e = config.structure, _eta_value(config.eta)
-    t_max = config.horizon
-
-    w = config.prior.weights
-    bid, ask, buy, sell = quote_core(w, structure, e)
-    price = float(structure.states.values @ w)
-    prices = np.empty(t_max + 1)
-    beliefs = np.empty((t_max + 1, structure.n_states))
-    prices[0] = price
-    beliefs[0] = w
-
-    t = 0
-    while t < t_max and (buy.size or sell.size):
-        # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
-        if draws.informative[t]:
-            j = draws.signals[t]
-            action = 0 if j in buy else 1 if j in sell else 2
-        else:
-            action = draws.noise_actions[t]
-        if action == 0:
-            price, signals = ask, buy
-        elif action == 1:
-            price, signals = bid, sell
-        else:
-            no_trade = np.ones(structure.n_signals, dtype=bool)
-            no_trade[buy] = no_trade[sell] = False
-            signals = np.flatnonzero(no_trade)
-        w = _normalized(w * _action_likelihood(structure, signals, e))
-        _check_weights(w)
-        bid, ask, buy, sell = quote_core(w, structure, e)
-        t += 1
-        prices[t] = price
-        beliefs[t] = w
-    prices[t + 1:] = price
-    beliefs[t + 1:] = w
-
-    return EpisodeResult(
-        episode=episode_index,
-        mode=PRIVATE,
-        true_state=draws.true_state,
-        true_value=float(structure.states.values[draws.true_state]),
-        price_path=prices,
-        belief_path=beliefs,
-        cascade_time=None if buy.size or sell.size else t,
-        final_belief_on_truth=float(w[draws.true_state]),
-    )
+    """One private-signal episode: the batched kernel on the batch
+    ``[episode_index]``."""
+    return _run_private(config, [episode_index])[0]
 
 
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
@@ -260,7 +261,7 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     the new weights are not finite, nonnegative and summing to 1 within
     ``PROB_SUM_TOL``; a noise period repeats the previous belief and price.
     """
-    draws = _draw_episode(config, episode_index)
+    true_state, informative, signals, _ = _draw_episode(config, episode_index)
     structure = config.structure
     values = structure.states.values
     t_max = config.horizon
@@ -273,8 +274,8 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     beliefs[0] = w
 
     for t in range(t_max):
-        if draws.informative[t]:
-            w = _normalized(w * structure.likelihood[:, draws.signals[t]])
+        if informative[t]:
+            w = _normalized(w * structure.likelihood[:, signals[t]])
             _check_weights(w)
             # a 1-D dot per step: ``beliefs @ values`` after the loop does
             # not round the same way
@@ -285,19 +286,20 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     return EpisodeResult(
         episode=episode_index,
         mode=PUBLIC,
-        true_state=draws.true_state,
-        true_value=float(values[draws.true_state]),
+        true_state=true_state,
+        true_value=float(values[true_state]),
         price_path=prices,
         belief_path=beliefs,
         cascade_time=None,
-        final_belief_on_truth=float(w[draws.true_state]),
+        final_belief_on_truth=float(w[true_state]),
     )
 
 
 def run_episodes(config: ScenarioConfig) -> list[EpisodeResult]:
     """All episodes of the scenario, in episode order."""
-    run = run_private_episode if config.mode == PRIVATE else run_public_episode
-    return [run(config, i) for i in range(config.episodes)]
+    if config.mode == PRIVATE:
+        return _run_private(config, range(config.episodes))
+    return [run_public_episode(config, i) for i in range(config.episodes)]
 
 
 def summarize_episodes(results: list[EpisodeResult], config: ScenarioConfig) -> MonteCarloSummary:

@@ -30,7 +30,7 @@ from .model import (
     _eta_value,
     _normalized,
 )
-from .simulate import PRIVATE, ScenarioConfig, run_private_episode
+from .simulate import PRIVATE, ScenarioConfig, run_episodes
 
 __all__ = [
     "ONE_STEP_TOL",
@@ -202,12 +202,8 @@ def check_limit_support_3state(
         episodes=trials,
         seed=seed,
     )
-    distances = []
-    for i in range(trials):
-        result = run_private_episode(config, i)
-        final = result.belief_path[-1]
-        distances.append(float(np.minimum(final, 1.0 - final).max()))
-    distances = np.array(distances)
+    final = np.array([result.belief_path[-1] for result in run_episodes(config)])
+    distances = np.minimum(final, 1.0 - final).max(axis=1)
     ok_fraction = float((distances <= SUPPORT_SLACK).mean())
     deviation = max(0.0, 1.0 - ok_fraction)
     worst = int(np.argmax(distances))

@@ -85,6 +85,36 @@ def test_check_with_movement_audit(capsys, four_state_file):
     np.testing.assert_allclose(doc["movement_audit"]["worst_belief"], 0.25, atol=1e-6)
 
 
+def _strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_passing_movement_audit_is_strict_json(capsys, binary_file):
+    code, out, _ = run_cli(capsys, "check", "--scenario", str(binary_file), "--azc-delta", "0.1")
+    assert code == 0
+    audit = _strict_json(out)["movement_audit"]
+    assert audit["verdict"] == "pass"
+    assert audit["min_max_movement"] is None
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("check",),
+    ("check", "--azc-delta", "0.1"),
+    ("cascade-scan",),
+    ("cascade-scan", "--c", "1.5"),
+])
+def test_negative_or_nan_tol_exits_one(capsys, four_state_file, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(four_state_file), f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "tol" in err
+
+
 # ---------------------------------------------------------------- quotes
 
 def test_quotes_binary(capsys, binary_file):

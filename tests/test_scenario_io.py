@@ -7,13 +7,13 @@ from market_learn.errors import ConfigInvalid, NonPositiveDensity
 from market_learn.presets import binary_symmetric
 from market_learn.scenario import (
     load_scenario,
-    load_structure,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     structure_from_dict,
     structure_to_dict,
 )
+from reference import load_structure
 
 STRUCTURE_DOC = {
     "states": [0.0, 1.0],

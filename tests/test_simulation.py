@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from market_learn.errors import ConfigInvalid
+from market_learn.errors import ConfigInvalid, InvalidBelief
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, bayes_posterior, expectation
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
@@ -14,6 +14,7 @@ from market_learn.simulate import (
     summarize_episodes,
 )
 from market_learn.verify import random_belief, random_structure
+from reference import point_mass
 
 
 def binary_config(**overrides):
@@ -43,7 +44,7 @@ def test_config_rejects_bad_inputs():
     with pytest.raises(ConfigInvalid):
         binary_config(mode="other")
     with pytest.raises(ConfigInvalid):
-        binary_config(prior=Belief.point_mass(2, 0))
+        binary_config(prior=point_mass(2, 0))
     with pytest.raises(ConfigInvalid):
         binary_config(horizon=0)
     with pytest.raises(ConfigInvalid):
@@ -126,6 +127,72 @@ def test_binary_private_learns_at_moderate_horizon():
     config = binary_config(horizon=2000, episodes=40, seed=77)
     summary = run_monte_carlo(config)
     assert summary.learned_fraction >= 0.9
+
+
+# ---------------------------------------------------------------- batched private kernel
+
+def _assert_batch_matches_single_episodes(config):
+    """run_episodes steps all episodes together; each must equal the batch
+    of one that run_private_episode runs, bit for bit."""
+    batch = run_episodes(config)
+    assert [r.episode for r in batch] == list(range(config.episodes))
+    for result in batch:
+        single = run_private_episode(config, result.episode)
+        assert result.true_state == single.true_state
+        np.testing.assert_array_equal(result.price_path, single.price_path)
+        np.testing.assert_array_equal(result.belief_path, single.belief_path)
+        assert result.cascade_time == single.cascade_time
+        assert result.final_belief_on_truth == single.final_belief_on_truth
+    return batch
+
+
+@pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
+def test_private_batch_matches_single_episodes_on_presets(preset):
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
+                            mode="private", horizon=600, episodes=12, seed=21)
+    _assert_batch_matches_single_episodes(config)
+
+
+def test_private_batch_matches_single_episodes_on_random_structures():
+    rng = np.random.default_rng(808)
+    cascade_times = []
+    for _ in range(30):
+        structure = random_structure(rng)
+        config = ScenarioConfig(structure=structure, prior=random_belief(rng, structure.n_states),
+                                eta=float(rng.uniform(0.05, 0.95)), mode="private",
+                                horizon=60, episodes=6, seed=int(rng.integers(1000)))
+        cascade_times += [r.cascade_time for r in _assert_batch_matches_single_episodes(config)]
+    # the horizon is short enough that some rows never freeze and some freeze mid-run
+    assert None in cascade_times
+    assert any(t is not None and t > 0 for t in cascade_times)
+
+
+def test_private_batch_matches_single_episodes_with_a_fixed_true_state():
+    config = ScenarioConfig(structure=three_state_informative(), prior=Belief(np.array([0.5, 0.3, 0.2])),
+                            eta=0.3, mode="private", horizon=400, episodes=8, seed=5, true_state=2)
+    assert all(r.true_state == 2 for r in _assert_batch_matches_single_episodes(config))
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_private_batch_freezes_at_period_zero_at_degenerate_noise_rates(eta):
+    prior = Belief(np.array([0.2, 0.3, 0.5]))
+    config = ScenarioConfig(structure=three_state_informative(), prior=prior, eta=eta,
+                            mode="private", horizon=50, episodes=4, seed=3)
+    for result in _assert_batch_matches_single_episodes(config):
+        assert result.cascade_time == 0
+        assert np.all(result.price_path == expectation(config.structure.states, prior))
+        assert np.all(result.belief_path == prior.weights)
+
+
+def test_private_batch_rejects_a_belief_with_a_negative_weight():
+    # an unvalidated table with a negative entry drives a weight below zero
+    structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b")),
+                                np.array([[1.2, -0.2], [0.2, 0.8]]))
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=0.1,
+                            mode="private", horizon=50, episodes=1, seed=1)
+    with pytest.raises(InvalidBelief, match="nonnegative"):
+        run_private_episode(config, 0)
 
 
 # ---------------------------------------------------------------- public mode

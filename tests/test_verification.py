@@ -9,7 +9,6 @@ from market_learn.model import (
     SignalStructure,
     StateSpace,
     expectation,
-    update_public_belief_on_action,
     validate_structure,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
@@ -22,6 +21,7 @@ from market_learn.verify import (
     random_structure,
     run_martingale_suite,
 )
+from reference import point_mass, update_public_belief_on_action
 
 # two states, three signals, with an asymmetric middle signal: the no-trade
 # region keeps state-dependent mass, so observing "no trade" is informative
@@ -96,7 +96,7 @@ def test_price_martingale_random_states():
 
 def test_likelihood_ratio_martingale_point_mass_truth():
     structure = binary_symmetric(0.8)
-    report = one_step_reports(Belief.point_mass(2, 1), structure, 0.5,
+    report = one_step_reports(point_mass(2, 1), structure, 0.5,
                               true_state=1)["likelihood_ratio_martingale"]
     assert report.passed
     assert report.witness["lambda"] == 0.0
@@ -111,7 +111,7 @@ def test_likelihood_ratio_martingale_binary():
 def test_likelihood_ratio_martingale_degenerate_guard():
     structure = binary_symmetric(0.8)
     with pytest.raises(DegenerateBelief):
-        one_step_reports(Belief.point_mass(2, 0), structure, 0.5, true_state=1)
+        one_step_reports(point_mass(2, 0), structure, 0.5, true_state=1)
 
 
 def test_likelihood_ratio_martingale_random_states():
