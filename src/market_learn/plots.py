@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingResults
+from .errors import MissingResults, PreconditionFailed
 
 __all__ = ["svg_line_chart", "emit_plots"]
 
@@ -132,9 +132,11 @@ def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10) -
     results = list(results)
     if not results:
         raise MissingResults("no episode results to plot")
+    thin = int(thin)
+    if thin < 1:
+        raise PreconditionFailed(f"thin must be at least 1, got {thin}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    thin = max(1, int(thin))
 
     horizon = len(results[0].price_path) - 1
     ts = np.arange(0, horizon + 1, thin)

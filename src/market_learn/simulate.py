@@ -7,9 +7,9 @@ Within an episode all randomness is drawn up front in a fixed order (true
 state, trader types, signals, noise actions), which also lets the two market
 modes share identical draws in comparisons.
 
-Private mode runs as one batched kernel: all episodes of a run step together
-as the rows of one weight array, and :func:`run_private_episode` is a batch
-of one.  Public mode steps one episode at a time.
+Both modes run as one batched kernel: all episodes of a run step together
+as the rows of one weight array, and :func:`run_private_episode` and
+:func:`run_public_episode` are that kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import _raise_where, _row_products, quote_rows
 from .errors import ConfigInvalid, InvalidBelief
-from .model import PROB_SUM_TOL, Belief, SignalStructure, _check_weights, _eta_value, _normalized
+from .model import PROB_SUM_TOL, Belief, SignalStructure, _eta_value, validate_structure
 
 __all__ = [
     "PRIVATE",
@@ -58,6 +58,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in (PRIVATE, PUBLIC):
             raise ConfigInvalid(f"mode must be '{PRIVATE}' or '{PUBLIC}', got {self.mode!r}")
+        validate_structure(self.structure)
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -177,13 +178,34 @@ def _draw_episode(config: ScenarioConfig, episode_index: int):
     return true_state, informative, signals, rng.integers(0, 3, size=t)
 
 
-def _run_private(config: ScenarioConfig, episodes) -> list[EpisodeResult]:
-    """The private-signal episodes ``episodes`` of a run, stepped together
-    as the rows of one weight array.  Each period a noise trader acts
-    uniformly or an informed one on her signal's partition class, and the
-    market maker updates on the action alone.  A row whose partition is
-    all-no-trade leaves the active set: every action likelihood is then
-    state-independent, so the rest of its path is filled as constant."""
+def _normalized_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its sum, with the invariants of a
+    belief checked on every row: :class:`InvalidBelief` names the first
+    bad row."""
+    total = raw.sum(axis=1)
+    _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
+    w = raw / total[:, None]
+    # NaN fails ">= 0" and an infinite weight fails the sum test
+    ok = (w >= 0).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+    _raise_where(~ok, InvalidBelief,
+                 f"belief weights must be finite, nonnegative and sum to 1 within {PROB_SUM_TOL}", w)
+    return w
+
+
+def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
+    """The episodes ``episodes`` of a run in market mode ``mode``, stepped
+    together as the rows of one weight array.
+
+    Private mode: each period a noise trader acts uniformly or an informed
+    one on its signal's partition class, and the market maker updates on
+    the action alone.  A row whose partition is all-no-trade leaves the
+    active set: every action likelihood is then state-independent, so the
+    rest of its path is filled as constant.
+
+    Public mode: an informed period reveals the signal to everyone, the
+    belief updates by Bayes rule and the price is the new expectation; a
+    noise period leaves both untouched.  No row ever leaves the active set.
+    """
     structure, e = config.structure, _eta_value(config.eta)
     values, m, t_max = structure.states.values, structure.n_signals, config.horizon
     size = len(episodes)
@@ -194,112 +216,67 @@ def _run_private(config: ScenarioConfig, episodes) -> list[EpisodeResult]:
         true_state[r], informative, signals, noise_actions = _draw_episode(config, i)
         code[r] = np.where(informative, signals, m + noise_actions)
 
+    prices = np.empty((size, t_max + 1))
+    beliefs = np.empty((size, t_max + 1, structure.n_states))
     w = np.tile(config.prior.weights, (size, 1))
     price = _row_products(w, values)
-    active = np.arange(size)
-    history = [(active, price, w)]  # the rows stepped in each period
+    active = np.arange(size)  # the rows stepped this period
     cascade_time = np.full(size, -1)
     for t in range(t_max + 1):
-        if 0.0 < e < 1.0:
-            bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, e)
-            trading = buy.any(axis=1) | sell.any(axis=1)
-        else:  # quote_core gives empty sets at eta 0 and 1
-            trading = np.zeros(active.size, dtype=bool)
-        cascade_time[active[~trading]] = t
-        if t == t_max or not trading.any():
-            break
-        if not trading.all():
-            active, w, price, bid, ask, buy, sell, like_buy, like_sell = (
-                x[trading] for x in (active, w, price, bid, ask, buy, sell, like_buy, like_sell))
-        # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
-        c = code[active, t].astype(np.intp)
-        rows, j = np.arange(active.size), np.minimum(c, m - 1)
-        action = np.where(c < m, np.where(buy[rows, j], 0, np.where(sell[rows, j], 1, 2)), c - m)
-        buys, sells = action == 0, action == 1
-        price = np.where(buys, ask, np.where(sells, bid, price))
-        like_nt = e / 3.0 + (1.0 - e) * (structure.likelihood * ~(buy | sell)[:, None, :]).sum(axis=2)
-        raw = w * np.where(buys[:, None], like_buy, np.where(sells[:, None], like_sell, like_nt))
-        total = raw.sum(axis=1)
-        _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
-        w = raw / total[:, None]
-        bad = ~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1)
-        _raise_where(bad | (np.abs(w.sum(axis=1) - 1.0) > PROB_SUM_TOL), InvalidBelief,
-                     f"belief weights must be finite, nonnegative and sum to 1 within {PROB_SUM_TOL}", w)
-        history.append((active, price, w))
+        prices[active, t], beliefs[active, t] = price, w
+        if mode == PRIVATE:
+            if 0.0 < e < 1.0:
+                bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, e)
+                trading = buy.any(axis=1) | sell.any(axis=1)
+            else:  # quote_core gives empty sets at eta 0 and 1
+                trading = np.zeros(active.size, dtype=bool)
+            frozen = active[~trading]
+            cascade_time[frozen] = t
+            prices[frozen, t + 1:], beliefs[frozen, t + 1:] = price[~trading, None], w[~trading, None]
+            if t == t_max or not trading.any():
+                break
+            if not trading.all():
+                active, w, price, bid, ask, buy, sell, like_buy, like_sell = (
+                    x[trading] for x in (active, w, price, bid, ask, buy, sell, like_buy, like_sell))
+            # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
+            c = code[active, t].astype(np.intp)
+            rows, j = np.arange(active.size), np.minimum(c, m - 1)
+            action = np.where(c < m, np.where(buy[rows, j], 0, np.where(sell[rows, j], 1, 2)), c - m)
+            buys, sells = action == 0, action == 1
+            price = np.where(buys, ask, np.where(sells, bid, price))
+            like_nt = e / 3.0 + (1.0 - e) * (structure.likelihood * ~(buy | sell)[:, None, :]).sum(axis=2)
+            w = _normalized_rows(w * np.where(buys[:, None], like_buy, np.where(sells[:, None], like_sell, like_nt)))
+        elif t < t_max:
+            # renormalising a noise row would change its bits, so only informed rows update
+            informed = code[:, t] < m
+            if informed.any():
+                w[informed] = _normalized_rows(w[informed] * structure.likelihood[:, code[informed, t]].T)
+                price[informed] = _row_products(w[informed], values)
 
-    # one path array per episode, from its stepped periods in time order
-    ids = np.concatenate([h[0] for h in history])
-    order = np.argsort(ids, kind="stable")
-    splits = np.cumsum(np.bincount(ids, minlength=size))[:-1]
-    prices = np.split(np.concatenate([h[1] for h in history])[order], splits)
-    beliefs = np.split(np.concatenate([h[2] for h in history])[order], splits)
-    del history
     return [
-        EpisodeResult(episode=i, mode=PRIVATE, true_state=int(s), true_value=float(values[s]),
-                      price_path=np.pad(p, (0, t_max + 1 - len(p)), mode="edge"),
-                      belief_path=np.pad(b, ((0, t_max + 1 - len(b)), (0, 0)), mode="edge"),
-                      cascade_time=None if frozen < 0 else int(frozen), final_belief_on_truth=float(b[-1, s]))
-        for i, s, frozen, p, b in zip(episodes, true_state, cascade_time, prices, beliefs)
+        EpisodeResult(episode=i, mode=mode, true_state=int(s), true_value=float(values[s]),
+                      price_path=p, belief_path=b, cascade_time=None if ct < 0 else int(ct),
+                      final_belief_on_truth=float(b[-1, s]))
+        for i, s, ct, p, b in zip(episodes, true_state, cascade_time, prices, beliefs)
     ]
 
 
 def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
     """One private-signal episode: the batched kernel on the batch
     ``[episode_index]``."""
-    return _run_private(config, [episode_index])[0]
+    return _run(config, [episode_index], PRIVATE)[0]
 
 
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
-    """One public-signal episode: informative periods reveal the signal to
-    everyone and the public belief updates by Bayes rule; noise periods leave
-    it untouched.  The price is the current expectation and nobody trades.
-
-    The loop carries plain weights, matching :func:`bayes_posterior` plus
-    :func:`expectation` bit for bit.  Each informative period multiplies the
-    weights by the signal's likelihood column and renormalizes, raising
-    :class:`InvalidBelief` when the normalizer is not finite and positive or
-    the new weights are not finite, nonnegative and summing to 1 within
-    ``PROB_SUM_TOL``; a noise period repeats the previous belief and price.
-    """
-    true_state, informative, signals, _ = _draw_episode(config, episode_index)
-    structure = config.structure
-    values = structure.states.values
-    t_max = config.horizon
-
-    w = config.prior.weights
-    price = float(values @ w)
-    prices = np.empty(t_max + 1)
-    beliefs = np.empty((t_max + 1, structure.n_states))
-    prices[0] = price
-    beliefs[0] = w
-
-    for t in range(t_max):
-        if informative[t]:
-            w = _normalized(w * structure.likelihood[:, signals[t]])
-            _check_weights(w)
-            # a 1-D dot per step: ``beliefs @ values`` after the loop does
-            # not round the same way
-            price = float(values @ w)
-        prices[t + 1] = price
-        beliefs[t + 1] = w
-
-    return EpisodeResult(
-        episode=episode_index,
-        mode=PUBLIC,
-        true_state=true_state,
-        true_value=float(values[true_state]),
-        price_path=prices,
-        belief_path=beliefs,
-        cascade_time=None,
-        final_belief_on_truth=float(w[true_state]),
-    )
+    """One public-signal episode: the batched kernel on the batch
+    ``[episode_index]``.  It matches :func:`bayes_posterior` plus
+    :func:`expectation` bit for bit."""
+    return _run(config, [episode_index], PUBLIC)[0]
 
 
 def run_episodes(config: ScenarioConfig) -> list[EpisodeResult]:
-    """All episodes of the scenario, in episode order."""
-    if config.mode == PRIVATE:
-        return _run_private(config, range(config.episodes))
-    return [run_public_episode(config, i) for i in range(config.episodes)]
+    """All episodes of the scenario, in episode order, as one batch."""
+    return _run(config, range(config.episodes), config.mode)
 
 
 def summarize_episodes(results: list[EpisodeResult], config: ScenarioConfig) -> MonteCarloSummary:

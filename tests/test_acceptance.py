@@ -35,7 +35,6 @@ from market_learn.simulate import (
     run_episodes,
     run_monte_carlo,
     run_private_episode,
-    run_public_episode,
 )
 from market_learn.verify import random_mlrp_structure, random_structure, run_martingale_suite
 
@@ -224,8 +223,7 @@ def test_criterion_5_public_mode_sufficiency_and_necessity():
             seed=502,
         )
         prior_ratio = 0.2 / 0.5
-        for i in range(dup_config.episodes):
-            result = run_public_episode(dup_config, i)
+        for i, result in enumerate(run_episodes(dup_config)):
             ratios = result.belief_path[:, 0] / result.belief_path[:, 1]
             drift = float(np.abs(ratios - prior_ratio).max())
             assert drift <= 1e-12, f"episode {i}: ratio drift {drift:.3e}"

@@ -307,6 +307,16 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("thin", ["-5", "0"])
+def test_simulate_plots_with_a_nonpositive_thin_exits_one(capsys, binary_file, tmp_path, thin):
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(binary_file), "--output", str(tmp_path),
+                             "--plots", "--thin", thin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "thin" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

@@ -15,7 +15,7 @@ from market_learn.model import (
     posterior_values,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
-from market_learn.simulate import ScenarioConfig, run_private_episode
+from market_learn.simulate import ScenarioConfig, run_episodes, run_private_episode
 from market_learn.verify import random_belief, random_structure
 from reference import action_likelihood_vector, update_public_belief_on_action
 
@@ -289,9 +289,8 @@ def test_transaction_price_rules():
         assert price == expected
 
 
-def _assert_episode_matches_reference(config, episode_index):
-    true_state, prices, beliefs, cascade_time = reference_episode(config, episode_index)
-    result = run_private_episode(config, episode_index)
+def _assert_episode_matches_reference(config, result):
+    true_state, prices, beliefs, cascade_time = reference_episode(config, result.episode)
     assert result.true_state == true_state
     np.testing.assert_array_equal(result.price_path, prices)
     np.testing.assert_array_equal(result.belief_path, beliefs)
@@ -305,7 +304,7 @@ def test_private_episode_matches_scalar_reference_on_presets(preset):
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
                             mode="private", horizon=400, episodes=3, seed=21)
     for i in range(config.episodes):
-        _assert_episode_matches_reference(config, i)
+        _assert_episode_matches_reference(config, run_private_episode(config, i))
 
 
 def test_private_episode_matches_scalar_reference_on_random_structures():
@@ -315,8 +314,9 @@ def test_private_episode_matches_scalar_reference_on_random_structures():
         config = ScenarioConfig(structure=structure, prior=random_belief(rng, structure.n_states),
                                 eta=float(rng.uniform(0.05, 0.95)), mode="private",
                                 horizon=300, episodes=2, seed=int(rng.integers(1000)))
-        for i in range(config.episodes):
-            _assert_episode_matches_reference(config, i)
+        # one batch per structure; batch == single is pinned in test_simulation
+        for result in run_episodes(config):
+            _assert_episode_matches_reference(config, result)
 
 
 def test_one_step_price_martingale_on_random_states():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from market_learn.errors import ConfigInvalid, InvalidBelief
+from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, bayes_posterior, expectation
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
@@ -31,6 +31,12 @@ def binary_config(**overrides):
     return ScenarioConfig(**base)
 
 
+RUN_EPISODE = {"private": run_private_episode, "public": run_public_episode}
+
+# a table that validate_structure rejects: state 0 gives signal "b" a negative likelihood
+NEGATIVE_ENTRY = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b")),
+                                 np.array([[1.2, -0.2], [0.2, 0.8]]))
+
 DUPLICATED_ROWS = SignalStructure(
     StateSpace(np.array([0.0, 1.0, 2.0])),
     SignalSpace(("a", "b")),
@@ -59,6 +65,13 @@ def test_config_rejects_bad_inputs():
         binary_config(prior=Belief.uniform(3), structure=binary_symmetric())
 
 
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_config_rejects_a_likelihood_table_with_a_negative_entry(mode):
+    with pytest.raises(NonPositiveDensity):
+        ScenarioConfig(structure=NEGATIVE_ENTRY, prior=Belief.uniform(2), eta=0.1, mode=mode,
+                       horizon=50, episodes=5, seed=1)
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_rng_contract_is_deterministic():
@@ -71,9 +84,8 @@ def test_rng_contract_is_deterministic():
 @pytest.mark.parametrize("mode", ["private", "public"])
 def test_episodes_are_reproducible(mode):
     config = binary_config(mode=mode)
-    runner = run_private_episode if mode == "private" else run_public_episode
-    r1 = runner(config, 2)
-    r2 = runner(config, 2)
+    r1 = RUN_EPISODE[mode](config, 2)
+    r2 = RUN_EPISODE[mode](config, 2)
     np.testing.assert_array_equal(r1.price_path, r2.price_path)
     np.testing.assert_array_equal(r1.belief_path, r2.belief_path)
     assert r1.true_state == r2.true_state
@@ -129,16 +141,16 @@ def test_binary_private_learns_at_moderate_horizon():
     assert summary.learned_fraction >= 0.9
 
 
-# ---------------------------------------------------------------- batched private kernel
+# ---------------------------------------------------------------- batched kernel
 
 def _assert_batch_matches_single_episodes(config):
     """run_episodes steps all episodes together; each must equal the batch
-    of one that run_private_episode runs, bit for bit."""
+    of one that the mode's single-episode entry point runs, bit for bit."""
     batch = run_episodes(config)
     assert [r.episode for r in batch] == list(range(config.episodes))
     for result in batch:
-        single = run_private_episode(config, result.episode)
-        assert result.true_state == single.true_state
+        single = RUN_EPISODE[config.mode](config, result.episode)
+        assert (result.mode, result.true_state) == (single.mode, single.true_state)
         np.testing.assert_array_equal(result.price_path, single.price_path)
         np.testing.assert_array_equal(result.belief_path, single.belief_path)
         assert result.cascade_time == single.cascade_time
@@ -146,31 +158,38 @@ def _assert_batch_matches_single_episodes(config):
     return batch
 
 
+@pytest.mark.parametrize("mode", ["private", "public"])
 @pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
-def test_private_batch_matches_single_episodes_on_presets(preset):
+def test_batch_matches_single_episodes_on_presets(preset, mode):
     structure = preset()
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
-                            mode="private", horizon=600, episodes=12, seed=21)
+                            mode=mode, horizon=600, episodes=12, seed=21)
     _assert_batch_matches_single_episodes(config)
 
 
-def test_private_batch_matches_single_episodes_on_random_structures():
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_batch_matches_single_episodes_on_random_structures(mode):
     rng = np.random.default_rng(808)
     cascade_times = []
     for _ in range(30):
         structure = random_structure(rng)
         config = ScenarioConfig(structure=structure, prior=random_belief(rng, structure.n_states),
-                                eta=float(rng.uniform(0.05, 0.95)), mode="private",
+                                eta=float(rng.uniform(0.05, 0.95)), mode=mode,
                                 horizon=60, episodes=6, seed=int(rng.integers(1000)))
         cascade_times += [r.cascade_time for r in _assert_batch_matches_single_episodes(config)]
-    # the horizon is short enough that some rows never freeze and some freeze mid-run
+    # the horizon is short enough that some private rows never freeze and
+    # some freeze mid-run; public rows never freeze
     assert None in cascade_times
-    assert any(t is not None and t > 0 for t in cascade_times)
+    if mode == "private":
+        assert any(t is not None and t > 0 for t in cascade_times)
+    else:
+        assert set(cascade_times) == {None}
 
 
-def test_private_batch_matches_single_episodes_with_a_fixed_true_state():
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_batch_matches_single_episodes_with_a_fixed_true_state(mode):
     config = ScenarioConfig(structure=three_state_informative(), prior=Belief(np.array([0.5, 0.3, 0.2])),
-                            eta=0.3, mode="private", horizon=400, episodes=8, seed=5, true_state=2)
+                            eta=0.3, mode=mode, horizon=400, episodes=8, seed=5, true_state=2)
     assert all(r.true_state == 2 for r in _assert_batch_matches_single_episodes(config))
 
 
@@ -185,14 +204,27 @@ def test_private_batch_freezes_at_period_zero_at_degenerate_noise_rates(eta):
         assert np.all(result.belief_path == prior.weights)
 
 
-def test_private_batch_rejects_a_belief_with_a_negative_weight():
-    # an unvalidated table with a negative entry drives a weight below zero
-    structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b")),
-                                np.array([[1.2, -0.2], [0.2, 0.8]]))
-    config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=0.1,
-                            mode="private", horizon=50, episodes=1, seed=1)
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_public_batch_matches_single_episodes_at_degenerate_noise_rates(eta):
+    prior = Belief(np.array([0.2, 0.3, 0.5]))
+    config = ScenarioConfig(structure=three_state_informative(), prior=prior, eta=eta,
+                            mode="public", horizon=50, episodes=4, seed=3)
+    for result in _assert_batch_matches_single_episodes(config):
+        assert result.cascade_time is None
+        moved = np.any(np.diff(result.belief_path, axis=0) != 0, axis=1)
+        # at eta 0 every period reveals a signal, at eta 1 none does
+        assert moved.all() if eta == 0.0 else not moved.any()
+
+
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_batch_rejects_a_belief_with_a_negative_weight(mode):
+    # ScenarioConfig rejects a table with a negative entry, so the table is
+    # swapped in after validation to reach the kernel's own belief check
+    config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=0.1,
+                            mode=mode, horizon=50, episodes=1, seed=1)
+    object.__setattr__(config, "structure", NEGATIVE_ENTRY)
     with pytest.raises(InvalidBelief, match="nonnegative"):
-        run_private_episode(config, 0)
+        RUN_EPISODE[mode](config, 0)
 
 
 # ---------------------------------------------------------------- public mode
