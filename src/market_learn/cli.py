@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .conditions import azc_audit, is_cascade_belief, is_mlrp, is_pairwise_informative, scan_cascades
 from .engine import solve_quotes
 from .errors import MarketLearnError
-from .plots import emit_plots
-from .scenario import load_scenario, save_scenario, scenario_to_dict
+from .plots import checked_thin, emit_plots
+from .scenario import load_scenario, save_scenario, scenario_to_dict, to_json
 from .simulate import compare_modes, run_episodes, summarize_episodes
 from .verify import check_limit_support_3state, run_martingale_suite
 
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(message: str, json_errors: bool) -> int:
     if json_errors:
-        print(json.dumps({"error": message}), file=sys.stderr)
+        print(to_json({"error": message}, indent=None), file=sys.stderr)
     else:
         print(f"error: {message}", file=sys.stderr)
     return 1
@@ -90,7 +90,7 @@ def _apply_overrides(config, args):
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    print(to_json(doc))
 
 
 def _write_episode_csv(results, config, path: Path) -> None:
@@ -114,10 +114,10 @@ def _cmd_check(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
     structure = config.structure
     report = {
-        "pairwise_informative": is_pairwise_informative(structure, tol=args.tol).as_dict(),
-        "mlrp_weak": is_mlrp(structure, strict=False).as_dict(),
-        "mlrp_strict": is_mlrp(structure, strict=True).as_dict(),
-        "cascade_at_prior": is_cascade_belief(structure, config.prior, tol=args.tol).as_dict(),
+        "pairwise_informative": asdict(is_pairwise_informative(structure, tol=args.tol)),
+        "mlrp_weak": asdict(is_mlrp(structure, strict=False)),
+        "mlrp_strict": asdict(is_mlrp(structure, strict=True)),
+        "cascade_at_prior": asdict(is_cascade_belief(structure, config.prior, tol=args.tol)),
     }
     if args.azc_delta is not None:
         report["movement_audit"] = azc_audit(structure, delta=args.azc_delta,
@@ -140,6 +140,7 @@ def _cmd_quotes(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
+    thin = checked_thin(args.thin) if args.plots else None
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -148,12 +149,10 @@ def _cmd_simulate(args) -> int:
 
     _write_episode_csv(results, config, out_dir / "episodes.csv")
     (out_dir / "summary.json").write_text(
-        json.dumps({"scenario": scenario_to_dict(config), "summary": summary.as_dict()},
-                   indent=2, sort_keys=True) + "\n"
-    )
+        to_json({"scenario": scenario_to_dict(config), "summary": asdict(summary)}) + "\n")
     save_scenario(config, out_dir / "scenario_used.json")
     if args.plots:
-        emit_plots(results, out_dir, convergence_tol=config.convergence_tol, thin=args.thin)
+        emit_plots(results, out_dir, convergence_tol=config.convergence_tol, thin=thin)
 
     print(f"{config.episodes} episodes ({config.mode}): learned_fraction={summary.learned_fraction:.4f} "
           f"cascade_fraction={summary.cascade_fraction:.4f} -> {out_dir}")
@@ -169,9 +168,7 @@ def _cmd_compare(args) -> int:
     _write_episode_csv(comparison.private_episodes, config, out_dir / "episodes_private.csv")
     _write_episode_csv(comparison.public_episodes, config, out_dir / "episodes_public.csv")
     (out_dir / "comparison.json").write_text(
-        json.dumps({"scenario": scenario_to_dict(config), "comparison": comparison.as_dict()},
-                   indent=2, sort_keys=True) + "\n"
-    )
+        to_json({"scenario": scenario_to_dict(config), "comparison": comparison.as_dict()}) + "\n")
 
     print(f"private learned_fraction={comparison.private.learned_fraction:.4f} "
           f"public learned_fraction={comparison.public.learned_fraction:.4f} "

@@ -67,9 +67,6 @@ class ConditionReport:
         if not self.holds and self.witness is None:
             raise ValueError("a failing report must carry a witness")
 
-    def as_dict(self) -> dict:
-        return {"holds": self.holds, "witness": self.witness, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class CascadeBeliefSet:
@@ -112,8 +109,8 @@ class AzcAuditReport:
 
 
 def _check_tol(tol: float, name: str = "tol") -> None:
-    if not tol >= 0:  # also rejects NaN
-        raise PreconditionFailed(f"{name} must be nonnegative, got {tol}")
+    if not (0 <= tol < np.inf):  # also rejects NaN
+        raise PreconditionFailed(f"{name} must be finite and nonnegative, got {tol}")
 
 
 def is_pairwise_informative(structure: SignalStructure, tol: float = 1e-9) -> ConditionReport:
@@ -313,23 +310,13 @@ def find_cascade_beliefs(
     )
 
 
-def _probe_expectations(structure: SignalStructure) -> np.ndarray:
-    """The state values and the midpoints between adjacent ones, in
-    increasing order: existence of a full-support cascade belief is constant
-    on each open gap between state values, so its midpoint decides it."""
-    values = structure.states.values
-    probes = np.empty(2 * len(values) - 1)
-    probes[0::2] = values
-    probes[1::2] = (values[:-1] + values[1:]) / 2
-    return probes
-
-
 def scan_cascades(structure: SignalStructure, tol: float = 1e-9) -> list[CascadeBeliefSet]:
-    """Probe every state value and every gap midpoint and keep each target
-    whose cascade system has a nontrivial solution space."""
+    """Probe every state value and every gap midpoint, the targets of
+    :func:`_audit_targets` at ``delta = 0``, and keep each target whose
+    cascade system has a nontrivial solution space."""
     found = []
-    for c in _probe_expectations(structure):
-        result = find_cascade_beliefs(structure, float(c), tol=tol)
+    for c in _audit_targets(structure.states.values, 0.0):
+        result = find_cascade_beliefs(structure, c, tol=tol)
         if result.basis_dimension > 0:
             found.append(result)
     return found
@@ -350,6 +337,8 @@ def _audit_targets(values: np.ndarray, delta: float) -> list[float]:
     convex mispricing keeps at or below ``delta``, and what is left of the
     gap is the open pieces (lo, w_n - delta) and (w_1 + delta, hi); the
     midpoint of the longer one is the target if that piece is not empty.
+    At ``delta = 0`` every point of the hull is mispriced, so the targets
+    are the state values and the gap midpoints.
     """
     low, high = values[0], values[-1]
 
@@ -393,8 +382,8 @@ def azc_audit(
     the verdict is ``pass``, ``worst_belief`` is ``None`` and the movement is
     ``inf``.  Boundary cascade beliefs are never audited.
     """
-    if not delta > 0:
-        raise PreconditionFailed(f"delta must be positive, got {delta}")
+    if not (0 < delta < np.inf):  # also rejects NaN
+        raise PreconditionFailed(f"delta must be finite and positive, got {delta}")
     _check_tol(movement_tol, "movement_tol")
 
     values = structure.states.values

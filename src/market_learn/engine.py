@@ -10,7 +10,8 @@ symmetrically for the bid, which is how the solver computes candidates.
 wraps it in the value types: the scalar reference the tests pin against
 exhaustive enumeration.  :func:`quote_rows` solves every row of a weight
 array at once for the batched private-mode kernel, bit for bit as
-:func:`quote_core` does.
+:func:`quote_core` does at every noise rate, and also returns the three
+action likelihoods the kernel updates on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     SignalStructure,
     _action_likelihood,
     _eta_value,
+    _raise_where,
 )
 
 __all__ = [
@@ -155,16 +157,12 @@ def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], x)[:, 0]
 
 
-def _raise_where(bad: np.ndarray, error, message: str, w: np.ndarray) -> None:
-    if bad.any():
-        raise error(f"{message} (belief {w[np.argmax(bad)]!r})")
-
-
 def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
-    """:func:`quote_core` on every row of ``w`` for ``0 < e < 1``, with the
-    same checks and errors.  Returns ``(bid, ask, buy, sell, like_buy,
-    like_sell)``: per row the quotes, the sets as signal masks, and the
-    buy and sell action likelihoods.  Each side is the longest sorted prefix
+    """:func:`quote_core` on every row of ``w`` at any ``e`` in [0, 1], with
+    the same checks and errors.  Returns ``(bid, ask, buy, sell, like)``:
+    per row the quotes, the sets as signal masks, and the action likelihoods
+    stacked as ``like[:, a]`` in :data:`~market_learn.model.ACTIONS` order.
+    For ``0 < e < 1`` each side is the longest sorted prefix
     :func:`_greedy_side` accepts, tested against the ``cumsum`` prefix
     quotes; set masses sum the members in sorted order, masking the rest to
     zero, which adds exactly.
@@ -178,32 +176,39 @@ def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
     v = num_sig / f_sig
     noise, informed = e / 3.0, 1.0 - e
 
-    sides = []
-    for sense, action in ((+1, BUY), (-1, SELL)):
-        order = np.argsort(-v if sense > 0 else v, axis=1, kind="stable")
-        num = np.concatenate([(noise * exp_val)[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
-        den = np.concatenate([np.full((rows, 1), noise), informed * f_sig[r, order]], axis=1).cumsum(1)
-        quote = num / den
-        # the empty prefix quotes the expectation itself, not (noise * exp_val) / noise
-        quote[:, 0] = exp_val
-        taken = np.logical_and.accumulate(sense * (v[r, order] - quote[:, :m]) > BOUNDARY_BAND, axis=1)
-        size = taken.sum(axis=1)
-        q = quote[r[:, 0], size]
-        mass = (table[np.arange(n)[:, None], order[:, None, :]] * taken[:, None, :]).sum(axis=2)
-        like = e / 3.0 + (1.0 - e) * mass
-        cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
-        _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
-                     f"{action} quote deviates from the conditional expectation of its trade", w)
-        _raise_where((size == 0) & (np.abs(q - exp_val) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(exp_val))),
-                     NoConsistentPartition, f"empty {action} side must quote the expectation", w)
-        members = np.zeros((rows, m), dtype=bool)
-        members[r, order] = taken
-        sides.append((q, members, like))
+    if not 0.0 < e < 1.0:  # quote_core's closed forms: nobody trades on a signal
+        none, like = np.zeros((rows, m), dtype=bool), np.full((rows, n), noise)
+        ask, bid = (exp_val, exp_val) if e >= 1.0 else (np.maximum(exp_val, v.max(axis=1)),
+                                                        np.minimum(exp_val, v.min(axis=1)))
+        sides = [(ask, none, like), (bid, none, like)]
+    else:
+        sides = []
+        for sense, action in ((+1, BUY), (-1, SELL)):
+            order = np.argsort(-v if sense > 0 else v, axis=1, kind="stable")
+            num = np.concatenate([(noise * exp_val)[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
+            den = np.concatenate([np.full((rows, 1), noise), informed * f_sig[r, order]], axis=1).cumsum(1)
+            quote = num / den
+            # the empty prefix quotes the expectation itself, not (noise * exp_val) / noise
+            quote[:, 0] = exp_val
+            taken = np.logical_and.accumulate(sense * (v[r, order] - quote[:, :m]) > BOUNDARY_BAND, axis=1)
+            size = taken.sum(axis=1)
+            q = quote[r[:, 0], size]
+            mass = (table[np.arange(n)[:, None], order[:, None, :]] * taken[:, None, :]).sum(axis=2)
+            like = noise + informed * mass
+            cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
+            _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
+                         f"{action} quote deviates from the conditional expectation of its trade", w)
+            _raise_where((size == 0) & (np.abs(q - exp_val) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(exp_val))),
+                         NoConsistentPartition, f"empty {action} side must quote the expectation", w)
+            members = np.zeros((rows, m), dtype=bool)
+            members[r, order] = taken
+            sides.append((q, members, like))
 
     (ask, buy, like_buy), (bid, sell, like_sell) = sides
     _raise_where((buy & sell).any(axis=1), NoConsistentPartition, "buy and sell sets overlap", w)
     _raise_where(~(bid <= ask), NoConsistentPartition, "bid above ask", w)
-    return bid, ask, buy, sell, like_buy, like_sell
+    like_nt = noise + informed * (table * ~(buy | sell)[:, None, :]).sum(axis=2)
+    return bid, ask, buy, sell, np.stack([like_buy, like_sell, like_nt], axis=1)
 
 
 def solve_quotes(

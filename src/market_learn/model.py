@@ -36,7 +36,6 @@ __all__ = [
     "SignalStructure",
     "Belief",
     "SignalPartition",
-    "validate_structure",
     "bayes_posterior",
     "expectation",
     "posterior_values",
@@ -115,8 +114,11 @@ class SignalStructure:
     """Conditional signal likelihoods: ``likelihood[i, j]`` is the probability
     of signal ``signals.labels[j]`` given state ``states.values[i]``.
 
-    Construction checks shape only; use :func:`validate_structure` for the
-    probabilistic invariants (row sums, strict positivity).
+    Construction checks the shape and the probabilistic invariants: every
+    entry is strictly positive and finite and every row sums to 1 within
+    ``PROB_SUM_TOL``.  The first bad row in state order raises
+    :class:`NonPositiveDensity` for its first bad entry, else
+    :class:`RowSumInvalid`.
     """
 
     states: StateSpace
@@ -130,6 +132,15 @@ class SignalStructure:
                 f"likelihood shape {table.shape} does not match "
                 f"{len(self.states)} states x {len(self.signals)} signals"
             )
+        sums = table.sum(axis=1)
+        bad_row = ~((table > 0).all(axis=1) & (np.abs(sums - 1.0) <= PROB_SUM_TOL))
+        if bad_row.any():
+            i = int(np.argmax(bad_row))
+            bad = ~(np.isfinite(table[i]) & (table[i] > 0))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise NonPositiveDensity(i, j, float(table[i, j]))
+            raise RowSumInvalid(i, float(sums[i]))
         object.__setattr__(self, "likelihood", table)
 
     @property
@@ -156,7 +167,9 @@ class Belief:
 
     def __post_init__(self):
         arr = _frozen_array(self.weights)
-        _check_weights(arr)
+        if arr.ndim != 1:
+            raise InvalidBelief("belief weights must be a flat sequence")
+        _checked_rows(arr[None])
         object.__setattr__(self, "weights", arr)
 
     @classmethod
@@ -165,7 +178,7 @@ class Belief:
 
     @classmethod
     def from_unnormalized(cls, raw) -> "Belief":
-        return cls(_normalized(raw))
+        return cls(_normalized_rows(np.asarray(raw, dtype=float)[None])[0])
 
     @property
     def full_support(self) -> bool:
@@ -175,24 +188,31 @@ class Belief:
         return int(self.weights.size)
 
 
-def _check_weights(arr: np.ndarray) -> None:
-    """The invariants of a belief vector, shared by :class:`Belief` and the
-    loops that carry plain weight arrays."""
-    if arr.ndim != 1:
-        raise InvalidBelief("belief weights must be a flat sequence")
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise InvalidBelief(f"belief weights must be finite and nonnegative, got {arr!r}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise InvalidBelief(f"belief weights sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+def _raise_where(bad: np.ndarray, error, message: str, w: np.ndarray) -> None:
+    """Raise ``error`` naming the first row of ``w`` flagged in ``bad``."""
+    if bad.any():
+        raise error(f"{message} (belief {w[np.argmax(bad)]!r})")
 
 
-def _normalized(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    total = arr.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise InvalidBelief(f"cannot normalize weights with total {total!r}")
-    return arr / total
+_NOT_A_BELIEF = f"belief weights must be finite, nonnegative and sum to 1 within {PROB_SUM_TOL}"
+
+
+def _checked_rows(w: np.ndarray) -> np.ndarray:
+    """``w`` after checking that every row is a belief: finite, nonnegative
+    and summing to 1 within ``PROB_SUM_TOL``."""
+    # NaN fails ">= 0" and an infinite weight fails the sum test
+    ok = (w >= 0).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+    _raise_where(~ok, InvalidBelief, _NOT_A_BELIEF, w)
+    return w
+
+
+def _normalized_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its sum and checked as a belief: the
+    one normalise-and-check of :class:`Belief` and of the loops that carry
+    plain weight arrays.  :class:`InvalidBelief` names the first bad row."""
+    total = raw.sum(axis=1)
+    _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
+    return _checked_rows(raw / total[:, None])
 
 
 def _eta_value(eta) -> float:
@@ -244,28 +264,6 @@ class SignalPartition:
     @property
     def all_no_trade(self) -> bool:
         return not self.buy and not self.sell
-
-
-def validate_structure(structure: SignalStructure) -> None:
-    """Check row-stochasticity and strict positivity of the likelihood table.
-
-    Raises
-    ------
-    RowSumInvalid
-        First state whose row mass differs from 1 by more than ``PROB_SUM_TOL``.
-    NonPositiveDensity
-        First entry that is not strictly positive and finite.
-    """
-    table = structure.likelihood
-    for i in range(structure.n_states):
-        row = table[i]
-        bad = np.flatnonzero(~(np.isfinite(row) & (row > 0)))
-        if bad.size:
-            j = int(bad[0])
-            raise NonPositiveDensity(i, j, float(row[j]))
-        total = float(row.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise RowSumInvalid(i, total)
 
 
 def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belief:

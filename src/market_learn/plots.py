@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MissingResults, PreconditionFailed
 
-__all__ = ["svg_line_chart", "emit_plots"]
+__all__ = ["svg_line_chart", "checked_thin", "emit_plots"]
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -121,6 +121,15 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
     return out
 
 
+def checked_thin(thin) -> int:
+    """``thin`` as an int, checked to be at least 1, so a caller can reject a
+    bad value before it simulates anything."""
+    thin = int(thin)
+    if thin < 1:
+        raise PreconditionFailed(f"thin must be at least 1, got {thin}")
+    return thin
+
+
 def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> dict:
     """Write the standard chart set for a batch of episode results.
 
@@ -132,9 +141,7 @@ def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10) -
     results = list(results)
     if not results:
         raise MissingResults("no episode results to plot")
-    thin = int(thin)
-    if thin < 1:
-        raise PreconditionFailed(f"thin must be at least 1, got {thin}")
+    thin = checked_thin(thin)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid
-from .model import Belief, SignalSpace, SignalStructure, StateSpace, validate_structure
+from .model import Belief, SignalSpace, SignalStructure, StateSpace
 from .simulate import ScenarioConfig
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "scenario_to_dict",
     "load_scenario",
     "save_scenario",
+    "to_json",
 ]
 
 _STRUCTURE_KEYS = {"states", "signals", "likelihood"}
@@ -68,13 +69,11 @@ def structure_from_dict(doc: dict) -> SignalStructure:
     labels = doc["signals"]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ConfigInvalid(f"signals must be a list of strings, got {labels!r}")
-    structure = SignalStructure(
+    return SignalStructure(
         StateSpace(_float_array(doc, "states")),
         SignalSpace(tuple(labels)),
         _float_array(doc, "likelihood"),
     )
-    validate_structure(structure)
-    return structure
 
 
 def structure_to_dict(structure: SignalStructure) -> dict:
@@ -133,6 +132,13 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
+def to_json(doc, indent=2) -> str:
+    """``doc`` as strict JSON text with sorted keys, the one writer of every
+    JSON output: a NaN or infinite float raises ``ValueError`` instead of
+    becoming the non-standard token ``NaN`` or ``Infinity``."""
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _load_json(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -149,4 +155,4 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(config), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(to_json(scenario_to_dict(config)) + "\n")

@@ -14,14 +14,14 @@ as the rows of one weight array, and :func:`run_private_episode` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .engine import _raise_where, _row_products, quote_rows
-from .errors import ConfigInvalid, InvalidBelief
-from .model import PROB_SUM_TOL, Belief, SignalStructure, _eta_value, validate_structure
+from .engine import _row_products, quote_rows
+from .errors import ConfigInvalid, PreconditionFailed
+from .model import Belief, SignalStructure, _eta_value, _normalized_rows
 
 __all__ = [
     "PRIVATE",
@@ -58,7 +58,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in (PRIVATE, PUBLIC):
             raise ConfigInvalid(f"mode must be '{PRIVATE}' or '{PUBLIC}', got {self.mode!r}")
-        validate_structure(self.structure)
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -71,8 +70,8 @@ class ScenarioConfig:
             raise ConfigInvalid("episodes must be at least 1")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be nonnegative, got {self.seed}")
-        if not (self.convergence_tol > 0):
-            raise ConfigInvalid("convergence_tol must be positive")
+        if not (0 < self.convergence_tol < np.inf):  # also rejects NaN
+            raise ConfigInvalid(f"convergence_tol must be finite and positive, got {self.convergence_tol!r}")
         if self.true_state is not None and not (0 <= self.true_state < self.structure.n_states):
             raise ConfigInvalid(f"true_state index {self.true_state} out of range")
 
@@ -108,16 +107,6 @@ class StateBreakdown:
     cascade_fraction: float
     mean_abs_price_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "state_index": self.state_index,
-            "state_value": self.state_value,
-            "episodes": self.episodes,
-            "learned_fraction": self.learned_fraction,
-            "cascade_fraction": self.cascade_fraction,
-            "mean_abs_price_error": self.mean_abs_price_error,
-        }
-
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
@@ -126,15 +115,6 @@ class MonteCarloSummary:
     mean_abs_price_error: float
     cascade_fraction: float
     per_state: tuple = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "learned_fraction": self.learned_fraction,
-            "mean_abs_price_error": self.mean_abs_price_error,
-            "cascade_fraction": self.cascade_fraction,
-            "per_state": [s.as_dict() for s in self.per_state],
-        }
 
 
 @dataclass(frozen=True)
@@ -157,8 +137,8 @@ class ModeComparison:
 
     def as_dict(self) -> dict:
         return {
-            "private": self.private.as_dict(),
-            "public": self.public.as_dict(),
+            "private": asdict(self.private),
+            "public": asdict(self.public),
             "slack": self.slack,
             "nesting_ok": self.nesting_ok,
         }
@@ -176,20 +156,6 @@ def _draw_episode(config: ScenarioConfig, episode_index: int):
     informative = rng.random(t) >= config.eta
     signals = rng.choice(structure.n_signals, size=t, p=structure.likelihood[true_state])
     return true_state, informative, signals, rng.integers(0, 3, size=t)
-
-
-def _normalized_rows(raw: np.ndarray) -> np.ndarray:
-    """Each row of ``raw`` divided by its sum, with the invariants of a
-    belief checked on every row: :class:`InvalidBelief` names the first
-    bad row."""
-    total = raw.sum(axis=1)
-    _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
-    w = raw / total[:, None]
-    # NaN fails ">= 0" and an infinite weight fails the sum test
-    ok = (w >= 0).all(axis=1) & (np.abs(w.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
-    _raise_where(~ok, InvalidBelief,
-                 f"belief weights must be finite, nonnegative and sum to 1 within {PROB_SUM_TOL}", w)
-    return w
 
 
 def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
@@ -225,27 +191,22 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
     for t in range(t_max + 1):
         prices[active, t], beliefs[active, t] = price, w
         if mode == PRIVATE:
-            if 0.0 < e < 1.0:
-                bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, e)
-                trading = buy.any(axis=1) | sell.any(axis=1)
-            else:  # quote_core gives empty sets at eta 0 and 1
-                trading = np.zeros(active.size, dtype=bool)
+            bid, ask, buy, sell, like = quote_rows(w, structure, e)
+            trading = buy.any(axis=1) | sell.any(axis=1)
             frozen = active[~trading]
             cascade_time[frozen] = t
             prices[frozen, t + 1:], beliefs[frozen, t + 1:] = price[~trading, None], w[~trading, None]
             if t == t_max or not trading.any():
                 break
             if not trading.all():
-                active, w, price, bid, ask, buy, sell, like_buy, like_sell = (
-                    x[trading] for x in (active, w, price, bid, ask, buy, sell, like_buy, like_sell))
+                active, w, price, bid, ask, buy, sell, like = (
+                    x[trading] for x in (active, w, price, bid, ask, buy, sell, like))
             # action codes follow model.ACTIONS: 0 buy, 1 sell, 2 no trade
             c = code[active, t].astype(np.intp)
             rows, j = np.arange(active.size), np.minimum(c, m - 1)
             action = np.where(c < m, np.where(buy[rows, j], 0, np.where(sell[rows, j], 1, 2)), c - m)
-            buys, sells = action == 0, action == 1
-            price = np.where(buys, ask, np.where(sells, bid, price))
-            like_nt = e / 3.0 + (1.0 - e) * (structure.likelihood * ~(buy | sell)[:, None, :]).sum(axis=2)
-            w = _normalized_rows(w * np.where(buys[:, None], like_buy, np.where(sells[:, None], like_sell, like_nt)))
+            price = np.where(action == 0, ask, np.where(action == 1, bid, price))
+            w = _normalized_rows(w * like[rows, action])
         elif t < t_max:
             # renormalising a noise row would change its bits, so only informed rows update
             informed = code[:, t] < m
@@ -318,7 +279,10 @@ def run_monte_carlo(config: ScenarioConfig) -> MonteCarloSummary:
 
 def compare_modes(config: ScenarioConfig, slack: float = 0.05) -> ModeComparison:
     """Run both market modes on identical per-episode draws (same true
-    state, same trader types, same signal stream) and compare summaries."""
+    state, same trader types, same signal stream) and compare summaries.
+    ``slack`` must be finite and nonnegative."""
+    if not (0 <= slack < np.inf):  # also rejects NaN
+        raise PreconditionFailed(f"slack must be finite and nonnegative, got {slack!r}")
     private_cfg = config.with_overrides(mode=PRIVATE)
     public_cfg = config.with_overrides(mode=PUBLIC)
     private_episodes = run_episodes(private_cfg)

@@ -26,9 +26,8 @@ from .model import (
     SignalStructure,
     StateSpace,
     _action_likelihood,
-    _check_weights,
     _eta_value,
-    _normalized,
+    _normalized_rows,
 )
 from .simulate import PRIVATE, ScenarioConfig, run_episodes
 
@@ -108,17 +107,20 @@ def one_step_reports(belief: Belief, structure: SignalStructure, eta,
     values = structure.states.values
     exp_val = float(values @ w)
 
+    like = np.array([_action_likelihood(structure, signal_sets[action], e) for action in ACTIONS])
+    # an action of probability 0 (buy and sell when eta is 0) adds nothing to any mixture
+    live = np.flatnonzero(like.any(axis=1))
+    like = like[live]
+
     mixed_belief = np.zeros(structure.n_states)
     mixed_price = 0.0
     mixed_lam = 0.0
     quote_gap = 0.0
     violation = 0.0
     conditional = {}
-    for action in ACTIONS:
-        like = _action_likelihood(structure, signal_sets[action], e)
-        prob = float(w @ like)
-        stepped = _normalized(w * like)
-        _check_weights(stepped)
+    for a, like_a, stepped in zip(live, like, _normalized_rows(w * like)):
+        action = ACTIONS[a]
+        prob = float(w @ like_a)
         cond = float(values @ stepped)
         conditional[action] = cond
         mixed_belief += prob * stepped
@@ -129,12 +131,12 @@ def one_step_reports(belief: Belief, structure: SignalStructure, eta,
         elif action == SELL and sell.size:
             quote_gap = max(quote_gap, abs(cond - bid))
             violation = max(violation, cond - exp_val)
-        elif action == NO_TRADE and float(like.max() - like.min()) <= 1e-12:
+        elif action == NO_TRADE and float(like_a.max() - like_a.min()) <= 1e-12:
             violation = max(violation, abs(cond - exp_val))
         if true_state is not None:
             w_next = stepped[true_state]
             lam_next = float((1.0 - w_next) / w_next) if w_next > 0 else np.inf
-            mixed_lam += float(like[true_state]) * lam_next
+            mixed_lam += float(like_a[true_state]) * lam_next
 
     belief_gap = np.abs(mixed_belief - w)
     worst = int(np.argmax(belief_gap))

@@ -9,6 +9,7 @@ exact up to floating point.
 import itertools
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_criterion_6_private_mode_learning_and_counterexample():
             convergence_tol=0.1,
         )
         summary3 = run_monte_carlo(config3)
-        assert summary3.learned_fraction >= 0.95, summary3.as_dict()
+        assert summary3.learned_fraction >= 0.95, asdict(summary3)
 
         # the same harness on the 4-state example: price pinned at 1.5, so the
         # learned fraction equals the prior mass of states within the

@@ -100,7 +100,7 @@ def test_passing_movement_audit_is_strict_json(capsys, binary_file):
     assert audit["min_max_movement"] is None
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ("check",),
     ("check", "--azc-delta", "0.1"),
@@ -309,12 +309,45 @@ def test_verify_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize("thin", ["-5", "0"])
 def test_simulate_plots_with_a_nonpositive_thin_exits_one(capsys, binary_file, tmp_path, thin):
-    code, out, err = run_cli(capsys, "simulate", "--scenario", str(binary_file), "--output", str(tmp_path),
+    out_dir = tmp_path / "sim"
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(binary_file), "--output", str(out_dir),
                              "--plots", "--thin", thin)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
     assert "thin" in err
+    # thin is checked before anything is simulated or written
+    assert not list(out_dir.glob("*"))
+
+
+def test_check_with_an_infinite_azc_delta_exits_one(capsys, four_state_file):
+    code, out, err = run_cli(capsys, "check", "--scenario", str(four_state_file), "--azc-delta", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "delta" in err
+
+
+@pytest.mark.parametrize("slack", ["nan", "inf", "-0.1"])
+def test_compare_with_a_bad_slack_exits_one(capsys, binary_file, tmp_path, slack):
+    out_dir = tmp_path / "cmp"
+    code, out, err = run_cli(capsys, "compare", "--scenario", str(binary_file), "--output", str(out_dir),
+                             f"--slack={slack}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "slack" in err
+    assert not list(out_dir.glob("*"))
+
+
+def test_verify_at_eta_zero_passes(capsys, binary_file):
+    # in the shut market buy and sell have probability 0 and are skipped
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(binary_file), "--eta", "0",
+                           "--trials", "30", "--horizon", "50")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["passed"]
+    assert all(check["pass"] for check in doc["hard_checks"])
 
 
 def test_help_exits_zero(capsys):

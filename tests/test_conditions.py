@@ -405,13 +405,15 @@ def test_azc_audit_fails_exactly_when_a_cascade_target_is_mispriced_beyond_delta
     # every mispricing comparison with NaN is false, so an unchecked NaN
     # would pass even the four-state table
     pytest.param({"structure": four_state_cascade(), "delta": float("nan")}, id="nan"),
+    # an infinite delta would run the whole audit and then fail to serialise
+    pytest.param({"structure": four_state_cascade(), "delta": float("inf")}, id="inf"),
 ])
 def test_azc_audit_rejects_bad_parameters(kwargs):
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="delta"):
         azc_audit(**{"structure": binary_symmetric(), **kwargs})
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("check", [
     lambda tol: is_pairwise_informative(four_state_cascade(), tol=tol),
     lambda tol: find_crossing_signals(four_state_cascade(), 0, 1, tol=tol),

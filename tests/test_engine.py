@@ -181,7 +181,8 @@ def test_resolving_is_bit_identical():
 
 def test_quote_rows_match_quote_core_row_by_row():
     # the batched solver against the scalar one, bit for bit, on interior
-    # beliefs and on near-vertex ones where the band decides the partition
+    # beliefs and on near-vertex ones where the band decides the partition,
+    # at an interior noise rate and at the closed-form ends eta 0 and 1
     rng = np.random.default_rng(404)
     for _ in range(40):
         structure = random_structure(rng)
@@ -189,15 +190,17 @@ def test_quote_rows_match_quote_core_row_by_row():
         w = np.array([random_belief(rng, n).weights for _ in range(12)])
         w[:4] = np.eye(n)[rng.integers(n, size=4)] + 1e-9 * rng.random((4, n))
         w[:4] /= w[:4].sum(axis=1, keepdims=True)
-        bid, ask, buy, sell, like_buy, like_sell = quote_rows(w, structure, eta)
-        for r in range(len(w)):
-            b, a, buy_r, sell_r = quote_core(w[r], structure, eta)
-            assert (bid[r], ask[r]) == (b, a)
-            np.testing.assert_array_equal(np.flatnonzero(buy[r]), np.sort(buy_r))
-            np.testing.assert_array_equal(np.flatnonzero(sell[r]), np.sort(sell_r))
-            partition = SignalPartition(structure.n_signals, buy=buy_r, sell=sell_r)
-            np.testing.assert_array_equal(like_buy[r], action_likelihood_vector(structure, partition, eta, "B"))
-            np.testing.assert_array_equal(like_sell[r], action_likelihood_vector(structure, partition, eta, "S"))
+        for e in (eta, 0.0, 1.0):
+            bid, ask, buy, sell, like = quote_rows(w, structure, e)
+            for r in range(len(w)):
+                b, a, buy_r, sell_r = quote_core(w[r], structure, e)
+                assert (bid[r], ask[r]) == (b, a)
+                np.testing.assert_array_equal(np.flatnonzero(buy[r]), np.sort(buy_r))
+                np.testing.assert_array_equal(np.flatnonzero(sell[r]), np.sort(sell_r))
+                partition = SignalPartition(structure.n_signals, buy=buy_r, sell=sell_r)
+                for k, action in enumerate(ACTIONS):
+                    np.testing.assert_array_equal(like[r, k],
+                                                  action_likelihood_vector(structure, partition, e, action))
 
 
 # ---------------------------------------------------------------- stepping

@@ -17,7 +17,6 @@ from market_learn.model import (
     StateSpace,
     bayes_posterior,
     expectation,
-    validate_structure,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade
 from reference import (
@@ -63,22 +62,34 @@ def test_structure_shape_mismatch():
 
 # ---------------------------------------------------------------- validation
 
+# SignalStructure validates itself at construction
+
 def test_validate_accepts_four_state_example():
-    validate_structure(four_state_cascade())
+    structure = four_state_cascade()
+    assert structure.likelihood.shape == (4, structure.n_signals)
 
 
 def test_validate_rejects_bad_row_sum():
-    bad = make_structure([0, 1], [[0.5, 0.4], [0.2, 0.8]])
     with pytest.raises(RowSumInvalid) as err:
-        validate_structure(bad)
+        make_structure([0, 1], [[0.5, 0.4], [0.2, 0.8]])
     assert err.value.state_index == 0
 
 
 def test_validate_rejects_zero_density():
-    bad = make_structure([0, 1], [[1.0, 0.0], [0.2, 0.8]])
     with pytest.raises(NonPositiveDensity) as err:
-        validate_structure(bad)
+        make_structure([0, 1], [[1.0, 0.0], [0.2, 0.8]])
     assert (err.value.state_index, err.value.signal_index) == (0, 1)
+
+
+def test_validate_reports_the_first_bad_row_in_state_order():
+    # row 0 sums wrong and row 1 has a zero: the row-by-row order names row 0
+    with pytest.raises(RowSumInvalid) as err:
+        make_structure([0, 1], [[0.5, 0.4], [1.0, 0.0]])
+    assert err.value.state_index == 0
+    # a bad entry in a row wins over that row's sum; the first bad entry is named
+    with pytest.raises(NonPositiveDensity) as err:
+        make_structure([0, 1], [[0.2, 0.8], [np.nan, -1.0]])
+    assert (err.value.state_index, err.value.signal_index) == (1, 0)
 
 
 # ---------------------------------------------------------------- beliefs

@@ -12,6 +12,7 @@ from market_learn.scenario import (
     scenario_to_dict,
     structure_from_dict,
     structure_to_dict,
+    to_json,
 )
 from reference import load_structure
 
@@ -135,6 +136,7 @@ def test_structure_file_loading(tmp_path):
     ("horizon", 2.7),
     ("true_state", 1.5),
     ("seed", -1),
+    ("convergence_tol", float("inf")),
 ])
 def test_scenario_malformed_value_rejected_naming_the_key(key, value):
     if key == "signals":
@@ -143,6 +145,14 @@ def test_scenario_malformed_value_rejected_naming_the_key(key, value):
         doc = dict(SCENARIO_DOC, **{key: value})
     with pytest.raises(ConfigInvalid, match=key):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_to_json_rejects_non_finite_floats(value):
+    # NaN and Infinity are not JSON; every output goes through to_json
+    assert to_json({"b": [1.5], "a": None}) == '{\n  "a": null,\n  "b": [\n    1.5\n  ]\n}'
+    with pytest.raises(ValueError):
+        to_json({"summary": {"x": value}})
 
 
 def test_scenario_integral_floats_load_as_integers():

@@ -33,9 +33,8 @@ def binary_config(**overrides):
 
 RUN_EPISODE = {"private": run_private_episode, "public": run_public_episode}
 
-# a table that validate_structure rejects: state 0 gives signal "b" a negative likelihood
-NEGATIVE_ENTRY = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b")),
-                                 np.array([[1.2, -0.2], [0.2, 0.8]]))
+# a table that SignalStructure rejects: state 0 gives signal "b" a negative likelihood
+NEGATIVE_TABLE = np.array([[1.2, -0.2], [0.2, 0.8]])
 
 DUPLICATED_ROWS = SignalStructure(
     StateSpace(np.array([0.0, 1.0, 2.0])),
@@ -67,9 +66,11 @@ def test_config_rejects_bad_inputs():
 
 @pytest.mark.parametrize("mode", ["private", "public"])
 def test_config_rejects_a_likelihood_table_with_a_negative_entry(mode):
+    # the structure rejects the table at construction, before any config exists
     with pytest.raises(NonPositiveDensity):
-        ScenarioConfig(structure=NEGATIVE_ENTRY, prior=Belief.uniform(2), eta=0.1, mode=mode,
-                       horizon=50, episodes=5, seed=1)
+        ScenarioConfig(structure=SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b")),
+                                                 NEGATIVE_TABLE),
+                       prior=Belief.uniform(2), eta=0.1, mode=mode, horizon=50, episodes=5, seed=1)
 
 
 # ---------------------------------------------------------------- determinism
@@ -218,11 +219,11 @@ def test_public_batch_matches_single_episodes_at_degenerate_noise_rates(eta):
 
 @pytest.mark.parametrize("mode", ["private", "public"])
 def test_batch_rejects_a_belief_with_a_negative_weight(mode):
-    # ScenarioConfig rejects a table with a negative entry, so the table is
+    # SignalStructure rejects a table with a negative entry, so the table is
     # swapped in after validation to reach the kernel's own belief check
     config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=0.1,
                             mode=mode, horizon=50, episodes=1, seed=1)
-    object.__setattr__(config, "structure", NEGATIVE_ENTRY)
+    object.__setattr__(config.structure, "likelihood", NEGATIVE_TABLE)
     with pytest.raises(InvalidBelief, match="nonnegative"):
         RUN_EPISODE[mode](config, 0)
 

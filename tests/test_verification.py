@@ -9,7 +9,6 @@ from market_learn.model import (
     SignalStructure,
     StateSpace,
     expectation,
-    validate_structure,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.engine import solve_quotes
@@ -73,6 +72,11 @@ def test_price_martingale_binary_three_term_enumeration():
 def test_price_martingale_pure_noise_and_cascade_states():
     noise = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 1.0)["price_martingale"]
     assert noise.max_abs_deviation <= 1e-14
+    # at eta 0 buy and sell have probability 0 and only no trade is mixed
+    shut = one_step_reports(Belief.uniform(2), binary_symmetric(0.8), 0.0, true_state=1)
+    assert all(report.passed for report in shut.values())
+    assert shut["price_martingale"].max_abs_deviation <= 1e-14
+    assert set(shut["price_directions"].witness["conditional"]) == {"NT"}
     cascade = one_step_reports(Belief.uniform(4), four_state_cascade(), 0.5)["price_martingale"]
     assert cascade.max_abs_deviation <= 1e-14
 
@@ -194,8 +198,7 @@ def test_limit_support_three_state():
 def test_random_structure_is_always_valid():
     rng = np.random.default_rng(59)
     for _ in range(200):
-        structure = random_structure(rng)
-        validate_structure(structure)
+        structure = random_structure(rng)  # construction validates the table
         assert np.all(np.diff(structure.states.values) > 0)
 
 
@@ -211,7 +214,6 @@ def test_random_mlrp_structure_has_strict_mlrp_and_pi():
     rng = np.random.default_rng(67)
     for _ in range(50):
         structure = random_mlrp_structure(rng)
-        validate_structure(structure)
         assert is_mlrp(structure, strict=True).holds
         assert is_pairwise_informative(structure).holds
 
