@@ -13,15 +13,25 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .conditions import azc_audit, is_cascade_belief, is_mlrp, is_pairwise_informative, scan_cascades
+from .conditions import (azc_audit, find_cascade_beliefs, is_cascade_belief, is_mlrp, is_pairwise_informative,
+                         scan_cascades)
 from .engine import solve_quotes
-from .errors import MarketLearnError
+from .errors import MarketLearnError, PreconditionFailed
 from .plots import checked_thin, emit_plots
 from .scenario import load_scenario, save_scenario, scenario_to_dict, to_json
 from .simulate import compare_modes, run_episodes, summarize_episodes
 from .verify import check_limit_support_3state, run_martingale_suite
 
 __all__ = ["main", "entrypoint", "build_parser"]
+
+
+_FLAGS = {
+    "output": dict(default=".", help="directory for emitted files"),
+    "episodes": dict(type=int, help="override episode count"),
+    "horizon": dict(type=int, help="override horizon"),
+    "eta": dict(type=float, help="override noise rate"),
+    "mode": dict(choices=("private", "public"), help="override market mode"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,42 +41,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
+    def add_command(name, help, *flags, scenario_required=True):
+        # each subcommand takes only the flags its handler reads
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
-        p.add_argument("--output", default=".", help="directory for emitted files")
-        p.add_argument("--episodes", type=int, help="override episode count")
-        p.add_argument("--horizon", type=int, help="override horizon")
         p.add_argument("--seed", type=int, help="override seed")
-        p.add_argument("--eta", type=float, help="override noise rate")
-        p.add_argument("--mode", choices=("private", "public"), help="override market mode")
         p.add_argument("--json-errors", action="store_true", help="report errors as JSON on stderr")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        return p
 
-    p_check = sub.add_parser("check", help="run the signal-structure condition checkers")
-    add_common(p_check)
+    p_check = add_command("check", "run the signal-structure condition checkers")
     p_check.add_argument("--tol", type=float, default=1e-9, help="equality tolerance for the checkers")
     p_check.add_argument("--azc-delta", type=float, default=None,
                          help="also run the movement audit with this mispricing delta")
 
-    p_quotes = sub.add_parser("quotes", help="solve quotes and the signal partition at the prior")
-    add_common(p_quotes)
+    add_command("quotes", "solve quotes and the signal partition at the prior", "eta")
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo batch and emit CSV + summary JSON")
-    add_common(p_sim)
+    p_sim = add_command("simulate", "run a Monte Carlo batch and emit CSV + summary JSON",
+                        "output", "episodes", "horizon", "eta", "mode")
     p_sim.add_argument("--plots", action="store_true", help="emit SVG charts")
     p_sim.add_argument("--thin", type=int, default=10, help="plot every k-th period")
 
-    p_cmp = sub.add_parser("compare", help="run both market modes on shared draws")
-    add_common(p_cmp)
+    p_cmp = add_command("compare", "run both market modes on shared draws",
+                        "output", "episodes", "horizon", "eta")
     p_cmp.add_argument("--slack", type=float, default=0.05,
                        help="statistical slack for the learning containment check")
 
-    p_scan = sub.add_parser("cascade-scan", help="locate cascade beliefs at each state value and gap midpoint")
-    add_common(p_scan)
+    p_scan = add_command("cascade-scan", "locate cascade beliefs at each state value and gap midpoint")
     p_scan.add_argument("--c", type=float, default=None, help="probe a single target expectation")
     p_scan.add_argument("--tol", type=float, default=1e-9, help="cascade residual tolerance")
 
-    p_verify = sub.add_parser("verify", help="run the one-step identity suite (exit 2 on failure)")
-    add_common(p_verify, scenario_required=False)
+    p_verify = add_command("verify", "run the one-step identity suite (exit 2 on failure)",
+                           "horizon", "eta", scenario_required=False)
     p_verify.add_argument("--trials", type=int, default=1000, help="randomized states per check")
 
     return parser
@@ -81,16 +88,8 @@ def _fail(message: str, json_errors: bool) -> int:
 
 
 def _apply_overrides(config, args):
-    overrides = {}
-    for key in ("episodes", "horizon", "seed", "eta", "mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return config.with_overrides(**overrides) if overrides else config
-
-
-def _emit_json(doc) -> None:
-    print(to_json(doc))
+    overrides = {key: getattr(args, key, None) for key in ("episodes", "horizon", "seed", "eta", "mode")}
+    return config.with_overrides(**{key: value for key, value in overrides.items() if value is not None})
 
 
 def _write_episode_csv(results, config, path: Path) -> None:
@@ -122,19 +121,19 @@ def _cmd_check(args) -> int:
     if args.azc_delta is not None:
         report["movement_audit"] = azc_audit(structure, delta=args.azc_delta,
                                              movement_tol=args.tol).as_dict()
-    _emit_json(report)
+    print(to_json(report))
     return 0
 
 
 def _cmd_quotes(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
     quotes, partition = solve_quotes(config.prior, config.structure, config.eta)
-    _emit_json({
+    print(to_json({
         "bid": quotes.bid,
         "ask": quotes.ask,
         "partition": partition.assignment(config.structure.signals),
         "cascade": partition.all_no_trade,
-    })
+    }))
     return 0
 
 
@@ -179,42 +178,39 @@ def _cmd_compare(args) -> int:
 def _cmd_cascade_scan(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
     if args.c is not None:
-        from .conditions import find_cascade_beliefs
         found = [find_cascade_beliefs(config.structure, args.c, tol=args.tol)]
     else:
         found = scan_cascades(config.structure, tol=args.tol)
-    _emit_json({
+    print(to_json({
         "candidates": [entry.as_dict() for entry in found],
         "full_support_cascades": sum(1 for entry in found if entry.beliefs),
-    })
+    }))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    structure = None
-    eta = None
+    # without a scenario --eta fixes the random suite's noise rate; --horizon needs one
+    structure, eta = None, args.eta
     if args.scenario:
         config = _apply_overrides(load_scenario(args.scenario), args)
         structure, eta = config.structure, config.eta
+    elif args.horizon is not None:
+        raise PreconditionFailed("horizon applies only to the statistical check, which needs --scenario")
     seed = args.seed if args.seed is not None else 0
 
     reports = run_martingale_suite(trials=args.trials, seed=seed, structure=structure, eta=eta)
     hard_failure = any(not r.passed for r in reports)
 
     statistical = None
-    if structure is not None and structure.n_states <= 3:
-        if is_pairwise_informative(structure).holds:
-            statistical = check_limit_support_3state(
-                structure, eta, trials=50,
-                horizon=args.horizon if args.horizon else 3000, seed=seed,
-            )
+    if structure is not None and structure.n_states <= 3 and is_pairwise_informative(structure).holds:
+        statistical = check_limit_support_3state(structure, eta, trials=50, horizon=config.horizon, seed=seed)
 
     doc = {
         "hard_checks": [r.as_dict() for r in reports],
         "statistical_checks": [] if statistical is None else [statistical.as_dict()],
         "passed": not hard_failure,
     }
-    _emit_json(doc)
+    print(to_json(doc))
     return 2 if hard_failure else 0
 
 
@@ -239,9 +235,7 @@ def main(argv=None) -> int:
     json_errors = getattr(args, "json_errors", False)
     try:
         return _COMMANDS[args.command](args)
-    except MarketLearnError as exc:
-        return _fail(str(exc), json_errors)
-    except ValueError as exc:
+    except (MarketLearnError, ValueError) as exc:
         return _fail(str(exc), json_errors)
 
 

@@ -178,7 +178,8 @@ class Belief:
 
     @classmethod
     def from_unnormalized(cls, raw) -> "Belief":
-        return cls(_normalized_rows(np.asarray(raw, dtype=float)[None])[0])
+        # the constructor checks the quotient, so only divide here
+        return cls(_divided_rows(np.asarray(raw, dtype=float)[None])[0])
 
     @property
     def full_support(self) -> bool:
@@ -206,13 +207,18 @@ def _checked_rows(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _divided_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its sum, which must be finite and positive."""
+    total = raw.sum(axis=1)
+    _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
+    return raw / total[:, None]
+
+
 def _normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of ``raw`` divided by its sum and checked as a belief: the
     one normalise-and-check of :class:`Belief` and of the loops that carry
     plain weight arrays.  :class:`InvalidBelief` names the first bad row."""
-    total = raw.sum(axis=1)
-    _raise_where(~(np.isfinite(total) & (total > 0)), InvalidBelief, "cannot normalize weights", raw)
-    return _checked_rows(raw / total[:, None])
+    return _checked_rows(_divided_rows(raw))
 
 
 def _eta_value(eta) -> float:

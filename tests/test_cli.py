@@ -1,14 +1,20 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from market_learn.cli import main
+from market_learn.cli import build_parser, main
 from market_learn.errors import MissingResults
 from market_learn.model import Belief
 from market_learn.plots import emit_plots
 from market_learn.presets import binary_symmetric
+from market_learn.scenario import to_json
 from market_learn.simulate import ScenarioConfig, run_episodes
+from market_learn.verify import run_martingale_suite
+
+SHIPPED_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 FOUR_STATE_SCENARIO = {
     "structure": {
@@ -255,6 +261,78 @@ def test_verify_without_scenario(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
+
+
+def test_verify_eta_without_a_scenario_fixes_the_suite_noise_rate(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--eta", "0", "--trials", "20")
+    assert code == 0
+    expected = [r.as_dict() for r in run_martingale_suite(trials=20, seed=0, eta=0.0)]
+    assert json.loads(out)["hard_checks"] == json.loads(to_json(expected))
+
+
+def test_verify_horizon_without_a_scenario_exits_one(capsys):
+    # only the statistical check has a horizon, and it needs a scenario
+    code, out, err = run_cli(capsys, "verify", "--horizon", "50", "--trials", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "horizon" in err
+
+
+@pytest.mark.parametrize("extra, horizon", [((), 2000), (("--horizon", "500"), 500)])
+def test_verify_statistical_check_runs_at_the_scenario_horizon(capsys, extra, horizon):
+    scenario = SHIPPED_SCENARIOS / "binary_symmetric.json"
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(scenario), "--trials", "5", *extra)
+    assert code == 0
+    [statistical] = json.loads(out)["statistical_checks"]
+    assert statistical["witness"]["horizon"] == horizon
+
+
+# ---------------------------------------------------------------- flags
+
+COMMON_FLAGS = {"--scenario", "--seed", "--json-errors"}
+COMMAND_FLAGS = {
+    "check": COMMON_FLAGS | {"--tol", "--azc-delta"},
+    "quotes": COMMON_FLAGS | {"--eta"},
+    "simulate": COMMON_FLAGS | {"--output", "--episodes", "--horizon", "--eta", "--mode", "--plots", "--thin"},
+    "compare": COMMON_FLAGS | {"--output", "--episodes", "--horizon", "--eta", "--slack"},
+    "cascade-scan": COMMON_FLAGS | {"--c", "--tol"},
+    "verify": COMMON_FLAGS | {"--horizon", "--eta", "--trials"},
+}
+OVERRIDE_VALUES = {"--output": "out", "--episodes": "2", "--horizon": "50", "--eta": "0.3", "--mode": "public"}
+# each (subcommand, override) pair whose handler would not read the override
+DROPPED_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
+                 for flag in OVERRIDE_VALUES if flag not in flags]
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {
+        name: {o for action in sub._actions for o in action.option_strings if o not in ("-h", "--help")}
+        for name, sub in commands.items()
+    }
+    assert declared == COMMAND_FLAGS
+    assert {name: len(flags) for name, flags in declared.items()} == {
+        "check": 5, "quotes": 4, "simulate": 10, "compare": 8, "cascade-scan": 5, "verify": 6,
+    }
+    assert sum(map(len, declared.values())) == 38
+    assert len(DROPPED_FLAGS) == 18
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_a_flag_the_subcommand_does_not_read_exits_one(capsys, monkeypatch, binary_file, tmp_path,
+                                                        command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--scenario", str(binary_file), flag, OVERRIDE_VALUES[flag]]
+    if command == "compare":
+        argv += ["--output", "cmp"]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------- error handling

@@ -105,6 +105,24 @@ def test_belief_invariants():
     assert np.allclose(Belief.from_unnormalized([2.0, 2.0]).weights, [0.5, 0.5])
 
 
+def test_from_unnormalized_checks_the_belief_once(monkeypatch):
+    import market_learn.model as model
+    checked_rows, calls = model._checked_rows, []
+
+    def counting(w):
+        calls.append(w.shape)
+        return checked_rows(w)
+
+    monkeypatch.setattr(model, "_checked_rows", counting)
+    assert np.allclose(Belief.from_unnormalized([1.0, 3.0]).weights, [0.25, 0.75])
+    assert calls == [(1, 2)]
+    # both checks still run, with their own messages
+    with pytest.raises(InvalidBelief, match="cannot normalize weights"):
+        Belief.from_unnormalized([0.0, 0.0])
+    with pytest.raises(InvalidBelief, match="finite, nonnegative and sum to 1"):
+        Belief.from_unnormalized([1.0, -0.5])
+
+
 def test_noise_rate_bounds():
     structure = binary_symmetric()
     partition = SignalPartition(2, buy=(1,), sell=(0,))
