@@ -189,14 +189,14 @@ def _cmd_cascade_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # without a scenario --eta fixes the random suite's noise rate; --horizon needs one
-    structure, eta = None, args.eta
+    # without a scenario --eta fixes the random suite's noise rate, the seed
+    # defaults to 0 and --horizon is rejected
+    structure, eta, seed = None, args.eta, 0 if args.seed is None else args.seed
     if args.scenario:
         config = _apply_overrides(load_scenario(args.scenario), args)
-        structure, eta = config.structure, config.eta
+        structure, eta, seed = config.structure, config.eta, config.seed
     elif args.horizon is not None:
         raise PreconditionFailed("horizon applies only to the statistical check, which needs --scenario")
-    seed = args.seed if args.seed is not None else 0
 
     reports = run_martingale_suite(trials=args.trials, seed=seed, structure=structure, eta=eta)
     hard_failure = any(not r.passed for r in reports)

@@ -17,6 +17,9 @@ whether a full-support cascade belief exists is constant on each such gap.
 with one probe per state value and one per gap.  :func:`azc_audit` probes the
 same way, but on each gap at a target whose mispricing exceeds its ``delta``
 when the gap has one, since a cascade belief's expectation is its target.
+
+The null space is a numpy SVD with a relative rank cut; scipy is imported
+only by :func:`_maxmin_support_lp`, when a null space has dimension 2 or more.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
-from .errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
+from .errors import OutOfHull, PreconditionFailed
 from .model import Belief, SignalStructure, expectation, posterior_values
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "CascadeBeliefSet",
     "AzcAuditReport",
     "is_pairwise_informative",
-    "find_crossing_signals",
     "is_mlrp",
     "is_cascade_belief",
     "find_cascade_beliefs",
@@ -133,31 +133,6 @@ def is_pairwise_informative(structure: SignalStructure, tol: float = 1e-9) -> Co
     return ConditionReport(holds=True, detail="all state pairs have distinct signal distributions")
 
 
-def find_crossing_signals(
-    structure: SignalStructure,
-    state_a: int,
-    state_b: int,
-    tol: float = 1e-9,
-) -> tuple:
-    """Signals on which the two state rows cross: returns labels ``(s1, s2)``
-    with f(s1|a) > f(s1|b) and f(s2|a) < f(s2|b).
-
-    Both directions exist whenever the rows differ at all, since each row
-    sums to one.  Raises :class:`NotPairwiseInformative` when the rows agree
-    within ``tol`` everywhere.
-    """
-    if state_a == state_b:
-        raise PreconditionFailed(f"state indices must differ, got {state_a} twice")
-    _check_tol(tol)
-    diff = structure.likelihood[state_a] - structure.likelihood[state_b]
-    hi = int(np.argmax(diff))
-    lo = int(np.argmin(diff))
-    if diff[hi] <= tol or diff[lo] >= -tol:
-        raise NotPairwiseInformative(state_a, state_b)
-    labels = structure.signals.labels
-    return labels[hi], labels[lo]
-
-
 def is_mlrp(structure: SignalStructure, strict: bool = False) -> ConditionReport:
     """Monotone likelihood ratio check over all ordered quadruples.
 
@@ -226,11 +201,20 @@ def _cascade_matrix(structure: SignalStructure, c: float) -> np.ndarray:
     return (structure.likelihood * (structure.states.values - c)[:, None]).T
 
 
+def _null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of ``mat`` as columns: the right singular
+    vectors past the singular values above ``NULLSPACE_RCOND`` times the
+    largest, as ``scipy.linalg.null_space`` computes it."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[int(np.sum(s > np.max(s, initial=0.0) * NULLSPACE_RCOND)):].T
+
+
 def _maxmin_support_lp(mat: np.ndarray):
     """Maximize the smallest coordinate over {x >= 0, sum x = 1, mat x = 0}.
 
     Returns (x, t) or (None, None) when the polytope is empty.
     """
+    from scipy.optimize import linprog  # the only scipy use, and a rare one
     m, n = mat.shape
     cost = np.zeros(n + 1)
     cost[-1] = -1.0
@@ -240,15 +224,8 @@ def _maxmin_support_lp(mat: np.ndarray):
     b_eq = np.zeros(m + 1)
     b_eq[m] = 1.0
     a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(n),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * (n + 1),
-        method="highs",
-    )
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0.0, 1.0)] * (n + 1), method="highs")
     if not res.success:
         return None, None
     return res.x[:n], float(res.x[n])
@@ -262,10 +239,12 @@ def find_cascade_beliefs(
     """Full-support beliefs whose every posterior expectation equals ``c``.
 
     Solves the linear system sum_w (w - c) f(s|w) mu(w) = 0 for all signals:
-    the null space of the cascade matrix is intersected with the probability
+    the null space of the cascade matrix, an SVD cut at ``NULLSPACE_RCOND``
+    times the largest singular value, is intersected with the probability
     simplex.  A one-dimensional null space either scales to a probability
     vector or misses the simplex entirely; higher dimensions are resolved
-    with a small linear program that maximizes the minimum coordinate.
+    with a small linear program that maximizes the minimum coordinate, the
+    only step that imports scipy.
 
     Every returned belief is re-verified with :func:`is_cascade_belief` at
     the same ``tol``; beliefs touching the simplex boundary (any coordinate
@@ -278,7 +257,7 @@ def find_cascade_beliefs(
         raise OutOfHull(f"target expectation {c} outside [{low}, {high}]")
 
     mat = _cascade_matrix(structure, c)
-    kernel = null_space(mat, rcond=NULLSPACE_RCOND)
+    kernel = _null_space(mat)
     dim = kernel.shape[1]
     if dim == 0:
         return CascadeBeliefSet(target_expectation=float(c))

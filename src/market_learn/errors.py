@@ -38,14 +38,6 @@ class InvalidBelief(MarketLearnError):
     """Belief weights are negative, non-finite, or do not sum to one."""
 
 
-class NotPairwiseInformative(MarketLearnError):
-    """Two states share an identical signal distribution."""
-
-    def __init__(self, state_a, state_b):
-        self.state_pair = (state_a, state_b)
-        super().__init__(f"states {state_a} and {state_b} have identical signal distributions")
-
-
 class OutOfHull(MarketLearnError):
     """A target expectation lies outside the convex hull of the state values."""
 

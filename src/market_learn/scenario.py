@@ -57,15 +57,17 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
         raise ConfigInvalid(f"{key} must be numeric: {exc}") from exc
 
 
-def structure_from_dict(doc: dict) -> SignalStructure:
+def _check_keys(doc, kind: str, allowed: set, required: set) -> None:
+    """``doc`` must be a dict with no key outside ``allowed`` and every key of ``required``."""
     if not isinstance(doc, dict):
-        raise ConfigInvalid(f"structure must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - _STRUCTURE_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown structure keys: {sorted(unknown)}")
-    missing = _STRUCTURE_KEYS - set(doc)
-    if missing:
-        raise ConfigInvalid(f"missing structure keys: {sorted(missing)}")
+        raise ConfigInvalid(f"{kind} must be an object, got {type(doc).__name__}")
+    for problem, keys in (("unknown", set(doc) - allowed), ("missing", required - set(doc))):
+        if keys:
+            raise ConfigInvalid(f"{problem} {kind} keys: {sorted(keys)}")
+
+
+def structure_from_dict(doc: dict) -> SignalStructure:
+    _check_keys(doc, "structure", _STRUCTURE_KEYS, _STRUCTURE_KEYS)
     labels = doc["signals"]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ConfigInvalid(f"signals must be a list of strings, got {labels!r}")
@@ -85,15 +87,7 @@ def structure_to_dict(structure: SignalStructure) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"scenario must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown scenario keys: {sorted(unknown)}")
-    missing = _REQUIRED_SCENARIO_KEYS - set(doc)
-    if missing:
-        raise ConfigInvalid(f"missing scenario keys: {sorted(missing)}")
-
+    _check_keys(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_SCENARIO_KEYS)
     structure = structure_from_dict(doc["structure"])
     try:
         prior = Belief(np.asarray(doc["prior"], dtype=float))

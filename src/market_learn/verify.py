@@ -38,7 +38,6 @@ __all__ = [
     "check_limit_support_3state",
     "random_structure",
     "random_belief",
-    "random_mlrp_structure",
     "run_martingale_suite",
 ]
 
@@ -216,6 +215,7 @@ def check_limit_support_3state(
         witness={
             "trials": trials,
             "horizon": horizon,
+            "seed": seed,
             "slack": SUPPORT_SLACK,
             "min_pass_fraction": MIN_PASS_FRACTION,
             "fraction_near_vertex": ok_fraction,
@@ -242,20 +242,6 @@ def random_belief(rng: np.random.Generator, n: int) -> Belief:
     raw = rng.dirichlet(np.ones(n))
     raw = np.maximum(raw, RANDOM_FLOOR)
     return Belief.from_unnormalized(raw)
-
-
-def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
-    """Structure with 2-4 states, 2-5 signals and the strict monotone
-    likelihood ratio property by construction: rows proportional to
-    exp(theta_i x_j) with both parameter grids strictly increasing
-    (log-supermodular table)."""
-    n = int(rng.integers(2, 5))
-    m = int(rng.integers(2, 6))
-    theta = np.cumsum(rng.uniform(0.4, 1.0, size=n))
-    x = np.cumsum(rng.uniform(0.4, 1.0, size=m))
-    rows = np.exp(np.outer(theta, x))
-    rows /= rows.sum(axis=1, keepdims=True)
-    return _on_random_value_grid(rng, rows)
 
 
 def _on_random_value_grid(rng: np.random.Generator, rows: np.ndarray) -> SignalStructure:

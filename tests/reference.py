@@ -3,8 +3,9 @@
 These are the one-belief, value-type forms of updates the package runs on
 plain weight arrays: Bayes on a set of signals, the action likelihood of a
 partition class, the public update on an action, a point-mass belief, and
-loading a bare structure file.  Nothing in ``market_learn`` calls them; the
-reference steppers in the tests do.
+loading a bare structure file.  Beside them sit two test-only helpers: the
+crossing signals of a state pair and random strict-MLRP structures.
+Nothing in ``market_learn`` calls any of them; the tests do.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from market_learn.errors import MarketLearnError
+from market_learn.conditions import _check_tol
+from market_learn.errors import MarketLearnError, PreconditionFailed
 from market_learn.model import (
     BUY,
     NO_TRADE,
@@ -25,10 +27,19 @@ from market_learn.model import (
     _eta_value,
 )
 from market_learn.scenario import _load_json, structure_from_dict
+from market_learn.verify import _on_random_value_grid
 
 
 class EmptySignalSet(MarketLearnError):
     """A set-conditioned update was requested with an empty signal set."""
+
+
+class NotPairwiseInformative(MarketLearnError):
+    """Two states share an identical signal distribution."""
+
+    def __init__(self, state_a, state_b):
+        self.state_pair = (state_a, state_b)
+        super().__init__(f"states {state_a} and {state_b} have identical signal distributions")
 
 
 def point_mass(n: int, index: int) -> Belief:
@@ -77,3 +88,42 @@ def update_public_belief_on_action(belief: Belief, structure: SignalStructure, p
 
 def load_structure(path) -> SignalStructure:
     return structure_from_dict(_load_json(path))
+
+
+def find_crossing_signals(
+    structure: SignalStructure,
+    state_a: int,
+    state_b: int,
+    tol: float = 1e-9,
+) -> tuple:
+    """Signals on which the two state rows cross: returns labels ``(s1, s2)``
+    with f(s1|a) > f(s1|b) and f(s2|a) < f(s2|b).
+
+    Both directions exist whenever the rows differ at all, since each row
+    sums to one.  Raises :class:`NotPairwiseInformative` when the rows agree
+    within ``tol`` everywhere.
+    """
+    if state_a == state_b:
+        raise PreconditionFailed(f"state indices must differ, got {state_a} twice")
+    _check_tol(tol)
+    diff = structure.likelihood[state_a] - structure.likelihood[state_b]
+    hi = int(np.argmax(diff))
+    lo = int(np.argmin(diff))
+    if diff[hi] <= tol or diff[lo] >= -tol:
+        raise NotPairwiseInformative(state_a, state_b)
+    labels = structure.signals.labels
+    return labels[hi], labels[lo]
+
+
+def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
+    """Structure with 2-4 states, 2-5 signals and the strict monotone
+    likelihood ratio property by construction: rows proportional to
+    exp(theta_i x_j) with both parameter grids strictly increasing
+    (log-supermodular table)."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(2, 6))
+    theta = np.cumsum(rng.uniform(0.4, 1.0, size=n))
+    x = np.cumsum(rng.uniform(0.4, 1.0, size=m))
+    rows = np.exp(np.outer(theta, x))
+    rows /= rows.sum(axis=1, keepdims=True)
+    return _on_random_value_grid(rng, rows)

@@ -37,7 +37,8 @@ from market_learn.simulate import (
     run_monte_carlo,
     run_private_episode,
 )
-from market_learn.verify import random_mlrp_structure, random_structure, run_martingale_suite
+from market_learn.verify import random_structure, run_martingale_suite
+from reference import random_mlrp_structure
 
 
 @contextmanager

@@ -288,6 +288,18 @@ def test_verify_statistical_check_runs_at_the_scenario_horizon(capsys, extra, ho
     assert statistical["witness"]["horizon"] == horizon
 
 
+@pytest.mark.parametrize("extra, seed", [((), 21), (("--seed", "3"), 3)])
+def test_verify_seeds_both_checks_with_the_scenario_seed(capsys, extra, seed):
+    # the shipped three_state_informative.json says seed 21; --seed overrides it
+    scenario = SHIPPED_SCENARIOS / "three_state_informative.json"
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(scenario), "--trials", "5", "--horizon", "300", *extra)
+    assert code == 0
+    doc = json.loads(out)
+    assert {check["witness"]["seed"] for check in doc["hard_checks"]} == {seed}
+    [statistical] = doc["statistical_checks"]
+    assert statistical["witness"]["seed"] == seed
+
+
 # ---------------------------------------------------------------- flags
 
 COMMON_FLAGS = {"--scenario", "--seed", "--json-errors"}

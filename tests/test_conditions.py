@@ -1,23 +1,33 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
+import market_learn
+import market_learn.conditions as conditions
 from market_learn.conditions import (
+    FULL_SUPPORT_FLOOR,
+    NULLSPACE_RCOND,
+    _audit_targets,
+    _null_space,
     azc_audit,
     find_cascade_beliefs,
-    find_crossing_signals,
     is_cascade_belief,
     is_mlrp,
     is_pairwise_informative,
     scan_cascades,
 )
-from market_learn.errors import NotPairwiseInformative, OutOfHull, PreconditionFailed
+from market_learn.errors import OutOfHull, PreconditionFailed
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, posterior_values
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
-from market_learn.verify import random_mlrp_structure, random_structure
-from reference import point_mass
+from market_learn.verify import random_structure
+from reference import NotPairwiseInformative, find_crossing_signals, point_mass, random_mlrp_structure
 
 
 def make_structure(states, rows, labels=None):
@@ -275,6 +285,52 @@ def test_cascade_basis_dimension_is_the_rank_deficiency_off_the_state_values():
                 continue
             assert find_cascade_beliefs(structure, c).basis_dimension == deficiency, (structure, c)
     assert deficiencies == {0, 1, 2, 3}
+
+
+def test_null_space_is_bitwise_scipy_at_the_probe_targets():
+    # the numpy SVD and rank cut replace scipy.linalg.null_space, whose body
+    # is the same computation; the structures cover rank deficiencies 0-3
+    rng = np.random.default_rng(97)
+    dims = set()
+    for structure in _scan_structures(rng, extra_specs=[(4, 5, 1), (3, 5, 1)]):
+        for c in _audit_targets(structure.states.values, 0.0):
+            mat = conditions._cascade_matrix(structure, c)
+            ours, theirs = _null_space(mat), null_space(mat, rcond=NULLSPACE_RCOND)
+            assert ours.shape == theirs.shape and np.array_equal(ours, theirs), (structure, c)
+            dims.add(ours.shape[1])
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_two_dimensional_null_space_finds_a_full_support_belief_by_lp(monkeypatch):
+    # rows a_i p + (1 - a_i) q have rank 2, so null(L^T) = {x : sum x = 0,
+    # a . x = 0} is two-dimensional; x = (-1, -1, 1, 1) lies in it, and
+    # diag(w - 1.5)^-1 x is positive, so a full-support cascade belief exists
+    p, q = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
+    a = np.array([0.1, 0.9, 0.7, 0.3])
+    structure = make_structure([0.0, 1.0, 2.0, 3.0], a[:, None] * p + (1 - a[:, None]) * q)
+    assert is_pairwise_informative(structure).holds
+    calls, lp = [], conditions._maxmin_support_lp
+
+    def counted_lp(mat):
+        calls.append(mat)
+        return lp(mat)
+
+    monkeypatch.setattr(conditions, "_maxmin_support_lp", counted_lp)
+    result = find_cascade_beliefs(structure, 1.5)
+    assert len(calls) == 1 and result.basis_dimension == 2
+    [belief] = result.beliefs
+    assert belief.weights.min() > FULL_SUPPORT_FLOOR
+    assert is_cascade_belief(structure, belief).holds
+
+
+def test_importing_the_package_does_not_import_scipy():
+    # scipy is imported only by the LP of a null space of dimension >= 2
+    src = Path(market_learn.__file__).resolve().parents[1]
+    code = ("import sys, market_learn, market_learn.cli, market_learn.conditions; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cascade_existence_is_constant_on_each_gap():

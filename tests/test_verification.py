@@ -16,11 +16,10 @@ from market_learn.verify import (
     check_limit_support_3state,
     one_step_reports,
     random_belief,
-    random_mlrp_structure,
     random_structure,
     run_martingale_suite,
 )
-from reference import point_mass, update_public_belief_on_action
+from reference import point_mass, random_mlrp_structure, update_public_belief_on_action
 
 # two states, three signals, with an asymmetric middle signal: the no-trade
 # region keeps state-dependent mass, so observing "no trade" is informative
