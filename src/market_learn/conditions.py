@@ -18,8 +18,8 @@ with one probe per state value and one per gap.  :func:`azc_audit` probes the
 same way, but on each gap at a target whose mispricing exceeds its ``delta``
 when the gap has one, since a cascade belief's expectation is its target.
 
-The null space is a numpy SVD with a relative rank cut; scipy is imported
-only by :func:`_maxmin_support_lp`, when a null space has dimension 2 or more.
+The null space is a numpy SVD with a relative rank cut, and a full-support
+belief in it is found from the vertices of its slice of the simplex.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class ConditionReport:
 class CascadeBeliefSet:
     """Solutions of the cascade system at one target expectation.
 
-    ``beliefs`` holds representative *full-support* solutions (empty when the
-    simplex intersection is empty or touches only the boundary);
+    ``beliefs`` holds at most one representative *full-support* solution
+    (none when the simplex intersection is empty or touches only the boundary);
     ``basis_dimension`` is the null-space dimension of the cascade matrix, an
     upper bound on the affine dimension of the full solution polytope.
     """
@@ -179,12 +179,16 @@ def is_mlrp(structure: SignalStructure, strict: bool = False) -> ConditionReport
     )
 
 
+def _movements(structure: SignalStructure, belief: Belief) -> np.ndarray:
+    """|E[w|s] - E[w]| for every signal s."""
+    return np.abs(posterior_values(belief, structure) - expectation(structure.states, belief))
+
+
 def is_cascade_belief(structure: SignalStructure, belief: Belief, tol: float = 1e-9) -> ConditionReport:
     """A belief is a cascade point when no signal moves the conditional
     expectation by more than ``tol``."""
     _check_tol(tol)
-    exp_val = expectation(structure.states, belief)
-    moves = np.abs(posterior_values(belief, structure) - exp_val)
+    moves = _movements(structure, belief)
     worst = int(np.argmax(moves))
     movement = float(moves[worst])
     if movement <= tol:
@@ -209,28 +213,6 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vh[int(np.sum(s > np.max(s, initial=0.0) * NULLSPACE_RCOND)):].T
 
 
-def _maxmin_support_lp(mat: np.ndarray):
-    """Maximize the smallest coordinate over {x >= 0, sum x = 1, mat x = 0}.
-
-    Returns (x, t) or (None, None) when the polytope is empty.
-    """
-    from scipy.optimize import linprog  # the only scipy use, and a rare one
-    m, n = mat.shape
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    a_eq = np.zeros((m + 1, n + 1))
-    a_eq[:m, :n] = mat
-    a_eq[m, :n] = 1.0
-    b_eq = np.zeros(m + 1)
-    b_eq[m] = 1.0
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, 1.0)] * (n + 1), method="highs")
-    if not res.success:
-        return None, None
-    return res.x[:n], float(res.x[n])
-
-
 def find_cascade_beliefs(
     structure: SignalStructure,
     c: float,
@@ -238,55 +220,54 @@ def find_cascade_beliefs(
 ) -> CascadeBeliefSet:
     """Full-support beliefs whose every posterior expectation equals ``c``.
 
-    Solves the linear system sum_w (w - c) f(s|w) mu(w) = 0 for all signals:
-    the null space of the cascade matrix, an SVD cut at ``NULLSPACE_RCOND``
-    times the largest singular value, is intersected with the probability
-    simplex.  A one-dimensional null space either scales to a probability
-    vector or misses the simplex entirely; higher dimensions are resolved
-    with a small linear program that maximizes the minimum coordinate, the
-    only step that imports scipy.
+    Solves the linear system sum_w (w - c) f(s|w) mu(w) = 0 for all signals.
+    Its solutions are K y for the null-space basis K of the cascade matrix,
+    an SVD cut at ``NULLSPACE_RCOND`` times the largest singular value, and
+    the beliefs among them form the polytope {K y >= 0, sum K y = 1} of
+    dimension d - 1, d the number of columns of K.  Each vertex zeroes d - 1
+    coordinates: for every such set Z whose rows K[Z] leave a one-dimensional
+    null space, K times that null vector, scaled to sum 1, is a vertex when
+    it is nonnegative up to the full-support floor.  The representative is
+    the mean of these vertices, which has full support exactly when some
+    point of the polytope has.  At d = 1 the only vertex is K itself scaled
+    onto the simplex; the cost grows as C(n, d - 1) small SVDs.
 
-    Every returned belief is re-verified with :func:`is_cascade_belief` at
-    the same ``tol``; beliefs touching the simplex boundary (any coordinate
-    below the full-support floor) are not returned, though the reported
-    ``basis_dimension`` still reflects them.
+    The representative is re-verified with :func:`is_cascade_belief` at the
+    same ``tol``; one touching the simplex boundary (any coordinate at or
+    below the full-support floor) is not returned, though the reported
+    ``basis_dimension`` still reflects it.
     """
     _check_tol(tol)
     low, high = structure.states.low, structure.states.high
     if not (low <= c <= high):
         raise OutOfHull(f"target expectation {c} outside [{low}, {high}]")
 
-    mat = _cascade_matrix(structure, c)
-    kernel = _null_space(mat)
-    dim = kernel.shape[1]
+    kernel = _null_space(_cascade_matrix(structure, c))
+    n, dim = kernel.shape
     if dim == 0:
         return CascadeBeliefSet(target_expectation=float(c))
 
-    candidates = []
-    if dim == 1:
-        vec = kernel[:, 0]
-        vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
-        if np.all(vec >= -FULL_SUPPORT_FLOOR * np.abs(vec).max()):
-            vec = np.clip(vec, 0.0, None)
-            if vec.sum() > 0:
-                candidates.append(vec / vec.sum())
-    else:
-        x, t = _maxmin_support_lp(mat)
-        if x is not None and t is not None and t > FULL_SUPPORT_FLOOR:
-            candidates.append(np.clip(x, 0.0, None) / x.sum())
-
-    beliefs = []
-    for raw in candidates:
-        if np.any(raw <= FULL_SUPPORT_FLOOR):
+    vertices = []
+    for zeros in itertools.combinations(range(n), dim - 1):
+        null = _null_space(kernel[list(zeros)])
+        if null.shape[1] != 1:
             continue
-        belief = Belief.from_unnormalized(raw)
-        if is_cascade_belief(structure, belief, tol).holds:
-            beliefs.append(belief)
-    return CascadeBeliefSet(
-        target_expectation=float(c),
-        beliefs=tuple(beliefs),
-        basis_dimension=dim,
-    )
+        x = kernel @ null[:, 0]
+        total = x.sum()
+        if total == 0:
+            continue
+        x = x / total
+        if np.all(x >= -FULL_SUPPORT_FLOOR * np.abs(x).max()):
+            vertices.append(x)
+
+    beliefs = ()
+    if vertices:
+        raw = np.mean(vertices, axis=0)
+        if np.all(raw > FULL_SUPPORT_FLOOR):
+            belief = Belief.from_unnormalized(raw)
+            if is_cascade_belief(structure, belief, tol).holds:
+                beliefs = (belief,)
+    return CascadeBeliefSet(target_expectation=float(c), beliefs=beliefs, basis_dimension=dim)
 
 
 def scan_cascades(structure: SignalStructure, tol: float = 1e-9) -> list[CascadeBeliefSet]:
@@ -382,8 +363,7 @@ def azc_audit(
         )
 
     worst = max(eligible, key=lambda belief: _entropy(belief.weights))
-    exp_val = expectation(structure.states, worst)
-    movement = float(np.abs(posterior_values(worst, structure) - exp_val).max())
+    movement = float(_movements(structure, worst).max())
     return AzcAuditReport(
         delta=delta,
         worst_belief=worst,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionFailed
 from .model import SignalSpace, SignalStructure, StateSpace
 
 __all__ = ["four_state_cascade", "binary_symmetric", "three_state_informative"]
@@ -31,8 +32,8 @@ def four_state_cascade() -> SignalStructure:
 def binary_symmetric(accuracy: float = 0.8) -> SignalStructure:
     """Two states {0, 1} and signals (l, h) with symmetric accuracy:
     f(h|1) = f(l|0) = accuracy."""
-    if not (0.5 < accuracy < 1.0):
-        raise ValueError("accuracy must lie in (0.5, 1) for an informative structure")
+    if not (0.5 < accuracy < 1.0):  # also rejects NaN
+        raise PreconditionFailed(f"accuracy must lie in (0.5, 1) for an informative structure, got {accuracy}")
     return SignalStructure(
         StateSpace(np.array([0.0, 1.0])),
         SignalSpace(("l", "h")),

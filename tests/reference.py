@@ -3,8 +3,9 @@
 These are the one-belief, value-type forms of updates the package runs on
 plain weight arrays: Bayes on a set of signals, the action likelihood of a
 partition class, the public update on an action, a point-mass belief, and
-loading a bare structure file.  Beside them sit two test-only helpers: the
-crossing signals of a state pair and random strict-MLRP structures.
+loading a bare structure file.  Beside them sit two test-only helpers, the
+crossing signals of a state pair and random strict-MLRP structures, and the
+linear program that is the oracle for the cascade-belief decision.
 Nothing in ``market_learn`` calls any of them; the tests do.
 """
 
@@ -127,3 +128,26 @@ def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
     rows = np.exp(np.outer(theta, x))
     rows /= rows.sum(axis=1, keepdims=True)
     return _on_random_value_grid(rng, rows)
+
+
+def maxmin_support_lp(mat: np.ndarray):
+    """Maximize the smallest coordinate over {x >= 0, sum x = 1, mat x = 0}
+    with scipy's HiGHS solver.
+
+    Returns (x, t) or (None, None) when the polytope is empty.
+    """
+    from scipy.optimize import linprog
+    m, n = mat.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    a_eq = np.zeros((m + 1, n + 1))
+    a_eq[:m, :n] = mat
+    a_eq[m, :n] = 1.0
+    b_eq = np.zeros(m + 1)
+    b_eq[m] = 1.0
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0.0, 1.0)] * (n + 1), method="highs")
+    if not res.success:
+        return None, None
+    return res.x[:n], float(res.x[n])

@@ -27,7 +27,13 @@ from market_learn.errors import OutOfHull, PreconditionFailed
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, posterior_values
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.verify import random_structure
-from reference import NotPairwiseInformative, find_crossing_signals, point_mass, random_mlrp_structure
+from reference import (
+    NotPairwiseInformative,
+    find_crossing_signals,
+    maxmin_support_lp,
+    point_mass,
+    random_mlrp_structure,
+)
 
 
 def make_structure(states, rows, labels=None):
@@ -301,30 +307,70 @@ def test_null_space_is_bitwise_scipy_at_the_probe_targets():
     assert {0, 1, 2, 3} <= dims
 
 
-def test_two_dimensional_null_space_finds_a_full_support_belief_by_lp(monkeypatch):
+def _rank_two_four_state():
     # rows a_i p + (1 - a_i) q have rank 2, so null(L^T) = {x : sum x = 0,
     # a . x = 0} is two-dimensional; x = (-1, -1, 1, 1) lies in it, and
     # diag(w - 1.5)^-1 x is positive, so a full-support cascade belief exists
     p, q = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
     a = np.array([0.1, 0.9, 0.7, 0.3])
-    structure = make_structure([0.0, 1.0, 2.0, 3.0], a[:, None] * p + (1 - a[:, None]) * q)
+    return make_structure([0.0, 1.0, 2.0, 3.0], a[:, None] * p + (1 - a[:, None]) * q)
+
+
+def test_two_dimensional_null_space_finds_a_full_support_belief():
+    structure = _rank_two_four_state()
     assert is_pairwise_informative(structure).holds
-    calls, lp = [], conditions._maxmin_support_lp
-
-    def counted_lp(mat):
-        calls.append(mat)
-        return lp(mat)
-
-    monkeypatch.setattr(conditions, "_maxmin_support_lp", counted_lp)
     result = find_cascade_beliefs(structure, 1.5)
-    assert len(calls) == 1 and result.basis_dimension == 2
+    assert result.basis_dimension == 2
     [belief] = result.beliefs
     assert belief.weights.min() > FULL_SUPPORT_FLOOR
     assert is_cascade_belief(structure, belief).holds
 
 
+def test_cascade_decision_matches_the_lp_oracle_on_rank_deficient_tables():
+    # a full-support cascade belief exists exactly when the largest smallest
+    # coordinate over the cascade polytope clears the floor; tables of rank
+    # at most n - 2 give null spaces of dimension 2 and more
+    rng = np.random.default_rng(12)
+    dims, with_beliefs = set(), 0
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        rank = int(rng.integers(1, n - 1))
+        m = int(rng.integers(max(rank, 2), 6))
+        values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
+        structure = make_structure(values, _low_rank_table(rng, n, m, rank))
+        for c in _audit_targets(values, 0.0):
+            result = find_cascade_beliefs(structure, c)
+            _, t = maxmin_support_lp(conditions._cascade_matrix(structure, c))
+            assert bool(result.beliefs) == (t is not None and t > FULL_SUPPORT_FLOOR), (structure, c, t)
+            for belief in result.beliefs:
+                assert is_cascade_belief(structure, belief).holds
+            dims.add(result.basis_dimension)
+            with_beliefs += bool(result.beliefs)
+    assert {2, 3, 4} <= dims and with_beliefs > 0
+
+
+def test_cascade_checks_run_with_scipy_blocked():
+    # the cascade decision at every null-space dimension is numpy only
+    src = Path(market_learn.__file__).resolve().parents[1]
+    table = _rank_two_four_state().likelihood.tolist()
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from market_learn.conditions import azc_audit, scan_cascades\n"
+        "from market_learn.model import SignalSpace, SignalStructure, StateSpace\n"
+        "structure = SignalStructure(StateSpace(np.array([0.0, 1.0, 2.0, 3.0])),\n"
+        f"    SignalSpace(('s1', 's2', 's3')), np.array({table!r}))\n"
+        "found = [r for r in scan_cascades(structure) if r.beliefs]\n"
+        "print(max(r.basis_dimension for r in found), azc_audit(structure, delta=0.1).verdict)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "fail"]
+
+
 def test_importing_the_package_does_not_import_scipy():
-    # scipy is imported only by the LP of a null space of dimension >= 2
+    # no runtime path imports scipy
     src = Path(market_learn.__file__).resolve().parents[1]
     code = ("import sys, market_learn, market_learn.cli, market_learn.conditions; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

@@ -5,6 +5,7 @@ from market_learn.errors import (
     DimensionMismatch,
     InvalidBelief,
     NonPositiveDensity,
+    PreconditionFailed,
     RowSumInvalid,
     UnknownSignal,
 )
@@ -90,6 +91,12 @@ def test_validate_reports_the_first_bad_row_in_state_order():
     with pytest.raises(NonPositiveDensity) as err:
         make_structure([0, 1], [[0.2, 0.8], [np.nan, -1.0]])
     assert (err.value.state_index, err.value.signal_index) == (1, 0)
+
+
+@pytest.mark.parametrize("accuracy", [0.5, 1.0, float("nan")])
+def test_binary_symmetric_rejects_an_uninformative_accuracy(accuracy):
+    with pytest.raises(PreconditionFailed, match="accuracy"):
+        binary_symmetric(accuracy)
 
 
 # ---------------------------------------------------------------- beliefs
