@@ -9,9 +9,9 @@ symmetrically for the bid, which is how the solver computes candidates.
 :func:`quote_core` solves one plain weight array and :func:`solve_quotes`
 wraps it in the value types: the scalar reference the tests pin against
 exhaustive enumeration.  :func:`quote_rows` solves every row of a weight
-array at once for the batched private-mode kernel, bit for bit as
-:func:`quote_core` does at every noise rate, and also returns the three
-action likelihoods the kernel updates on.
+array at once, bit for bit as :func:`quote_core` does at every noise rate,
+and also returns the three action likelihoods; it accepts per-row
+structures and noise rates, which the one-step suite stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConsistentPartition
+from .errors import InvalidBelief, NoConsistentPartition
 from .model import (
     BUY,
     SELL,
@@ -157,26 +157,29 @@ def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], x)[:, 0]
 
 
-def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
-    """:func:`quote_core` on every row of ``w`` at any ``e`` in [0, 1], with
-    the same checks and errors.  Returns ``(bid, ask, buy, sell, like)``:
-    per row the quotes, the sets as signal masks, and the action likelihoods
-    stacked as ``like[:, a]`` in :data:`~market_learn.model.ACTIONS` order.
-    For ``0 < e < 1`` each side is the longest sorted prefix
-    :func:`_greedy_side` accepts, tested against the ``cumsum`` prefix
-    quotes; set masses sum the members in sorted order, masking the rest to
-    zero, which adds exactly.
-    """
-    values, table = structure.states.values, structure.likelihood
-    (rows, n), m = w.shape, table.shape[1]
+def quote_rows(w: np.ndarray, structure, e):
+    """:func:`quote_core` on every row of ``w``, with the same checks and
+    errors.  ``structure`` is a structure or a pair ``(values, table)``, each
+    shared or per row; ``e`` is one rate in [0, 1] or one per row in (0, 1).
+    Returns ``(bid, ask, buy, sell, like)``: per row the quotes, the sets as
+    signal masks, and the action likelihoods stacked as ``like[:, a]`` in
+    :data:`~market_learn.model.ACTIONS` order.  For ``0 < e < 1`` each side
+    is the longest sorted prefix :func:`_greedy_side` accepts, tested against
+    the ``cumsum`` prefix quotes; set masses sum the members in sorted order,
+    masking the rest to zero, which adds exactly."""
+    values, table = structure if isinstance(structure, tuple) else (structure.states.values, structure.likelihood)
+    (rows, n), m = w.shape, table.shape[-1]
     r = np.arange(rows)[:, None]
-    exp_val = _row_products(w, values)
+    exp_val = _row_products(w, values[..., None])[:, 0]
     f_sig = _row_products(w, table)
     num_sig = _row_products(values * w, table)
     v = num_sig / f_sig
     noise, informed = e / 3.0, 1.0 - e
+    if isinstance(e, np.ndarray):  # the closed forms at the ends below take one shared rate
+        _raise_where(~((0.0 < e) & (e < 1.0)), InvalidBelief, "a per-row noise rate must lie inside (0, 1)", w)
+        noise, informed = noise[:, None], informed[:, None]
 
-    if not 0.0 < e < 1.0:  # quote_core's closed forms: nobody trades on a signal
+    if not isinstance(e, np.ndarray) and not 0.0 < e < 1.0:  # quote_core's closed forms: nobody trades on a signal
         none, like = np.zeros((rows, m), dtype=bool), np.full((rows, n), noise)
         ask, bid = (exp_val, exp_val) if e >= 1.0 else (np.maximum(exp_val, v.max(axis=1)),
                                                         np.minimum(exp_val, v.min(axis=1)))
@@ -185,7 +188,7 @@ def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
         sides = []
         for sense, action in ((+1, BUY), (-1, SELL)):
             order = np.argsort(-v if sense > 0 else v, axis=1, kind="stable")
-            num = np.concatenate([(noise * exp_val)[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
+            num = np.concatenate([noise * exp_val[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
             den = np.concatenate([np.full((rows, 1), noise), informed * f_sig[r, order]], axis=1).cumsum(1)
             quote = num / den
             # the empty prefix quotes the expectation itself, not (noise * exp_val) / noise
@@ -193,8 +196,8 @@ def quote_rows(w: np.ndarray, structure: SignalStructure, e: float):
             taken = np.logical_and.accumulate(sense * (v[r, order] - quote[:, :m]) > BOUNDARY_BAND, axis=1)
             size = taken.sum(axis=1)
             q = quote[r[:, 0], size]
-            mass = (table[np.arange(n)[:, None], order[:, None, :]] * taken[:, None, :]).sum(axis=2)
-            like = noise + informed * mass
+            at = (r[:, :, None],) * (table.ndim == 3) + (np.arange(n)[:, None], order[:, None, :])  # per-row tables
+            like = noise + informed * (table[at] * taken[:, None, :]).sum(axis=2)
             cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
             _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
                          f"{action} quote deviates from the conditional expectation of its trade", w)

@@ -36,7 +36,6 @@ __all__ = [
     "SignalStructure",
     "Belief",
     "SignalPartition",
-    "bayes_posterior",
     "expectation",
     "posterior_values",
 ]
@@ -66,10 +65,7 @@ class StateSpace:
         arr = _frozen_array(self.values)
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionMismatch("state space needs at least two values in a flat sequence")
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch("state values must be finite")
-        if not np.all(np.diff(arr) > 0):
-            raise DimensionMismatch("state values must be strictly increasing")
+        _check_values(arr)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -82,6 +78,14 @@ class StateSpace:
     @property
     def high(self) -> float:
         return float(self.values[-1])
+
+
+def _check_values(values: np.ndarray) -> None:
+    """Check that one row of state values, or each stacked row, is finite and strictly increasing."""
+    if not np.all(np.isfinite(values)):
+        raise DimensionMismatch("state values must be finite")
+    if not np.all(np.diff(values) > 0):
+        raise DimensionMismatch("state values must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -132,15 +136,7 @@ class SignalStructure:
                 f"likelihood shape {table.shape} does not match "
                 f"{len(self.states)} states x {len(self.signals)} signals"
             )
-        sums = table.sum(axis=1)
-        bad_row = ~((table > 0).all(axis=1) & (np.abs(sums - 1.0) <= PROB_SUM_TOL))
-        if bad_row.any():
-            i = int(np.argmax(bad_row))
-            bad = ~(np.isfinite(table[i]) & (table[i] > 0))
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise NonPositiveDensity(i, j, float(table[i, j]))
-            raise RowSumInvalid(i, float(sums[i]))
+        _check_tables(table)
         object.__setattr__(self, "likelihood", table)
 
     @property
@@ -153,10 +149,21 @@ class SignalStructure:
 
     def set_mass(self, signal_indices: Sequence[int]) -> np.ndarray:
         """f(S|w) for a set of signal column indices, per state."""
-        idx = np.asarray(signal_indices, dtype=np.intp)
-        if not idx.size:
-            return np.zeros(self.n_states)
-        return self.likelihood[:, idx].sum(axis=1)
+        return self.likelihood[:, np.asarray(signal_indices, dtype=np.intp)].sum(axis=1)
+
+
+def _check_tables(table: np.ndarray) -> None:
+    """:class:`SignalStructure`'s checks on one table or on stacked ``(tables, n, m)``."""
+    sums = table.sum(axis=-1)
+    bad_row = ~((table > 0).all(axis=-1) & (np.abs(sums - 1.0) <= PROB_SUM_TOL))
+    if bad_row.any():
+        at = np.unravel_index(np.argmax(bad_row), bad_row.shape)
+        row, i = table[at], int(at[-1])
+        bad = ~(np.isfinite(row) & (row > 0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise NonPositiveDensity(i, j, float(row[j]))
+        raise RowSumInvalid(i, float(sums[at]))
 
 
 @dataclass(frozen=True)
@@ -270,12 +277,6 @@ class SignalPartition:
     @property
     def all_no_trade(self) -> bool:
         return not self.buy and not self.sell
-
-
-def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belief:
-    """Posterior after observing one signal: mu'(w) = mu(w) f(s|w) / normalizer."""
-    j = structure.signals.index(signal)
-    return Belief.from_unnormalized(belief.weights * structure.likelihood[:, j])
 
 
 def expectation(states: StateSpace, belief: Belief) -> float:

@@ -230,8 +230,8 @@ def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRe
 
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
     """One public-signal episode: the batched kernel on the batch
-    ``[episode_index]``.  It matches :func:`bayes_posterior` plus
-    :func:`expectation` bit for bit."""
+    ``[episode_index]``.  It matches a one-signal Bayes posterior per period
+    plus :func:`~market_learn.model.expectation` bit for bit."""
     return _run(config, [episode_index], PUBLIC)[0]
 
 

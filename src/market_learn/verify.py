@@ -2,8 +2,12 @@
 
 The one-step checks enumerate the three-action space in full, so their
 tolerances cover floating-point error only; nothing here is sampled.  The
-long-horizon support check is the exception: it is an explicitly statistical
-surrogate and reports its thresholds alongside the result.
+long-horizon support check is the exception: it is an explicitly
+statistical surrogate and reports its thresholds alongside the result.  The
+randomized suite draws its trials in blocks into plain arrays and checks
+each block's trials of one shape at once on
+:func:`~market_learn.engine.quote_rows`, which takes per-row structures and
+noise rates.
 """
 
 from __future__ import annotations
@@ -14,20 +18,21 @@ from typing import Optional
 import numpy as np
 
 from .conditions import is_pairwise_informative
-from .engine import quote_core
+from .engine import _row_products, quote_rows
 from .errors import DegenerateBelief, PreconditionFailed
 from .model import (
     ACTIONS,
     BUY,
     NO_TRADE,
-    SELL,
     Belief,
     SignalSpace,
     SignalStructure,
     StateSpace,
-    _action_likelihood,
+    _check_tables,
+    _check_values,
     _eta_value,
     _normalized_rows,
+    _raise_where,
 )
 from .simulate import PRIVATE, ScenarioConfig, run_episodes
 
@@ -42,6 +47,21 @@ __all__ = [
 ]
 
 ONE_STEP_TOL = 1e-10
+
+# The one-step identities in the order the suite reports them, and what each compares.
+ONE_STEP_DETAILS = {
+    "belief_martingale": "sum_a P(a) mu'(w|a) compared against mu(w) over all states",
+    "price_martingale": "sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
+    "likelihood_ratio_martingale":
+        "odds of incorrect states vs the true state, averaged under the true-state action law",
+    "price_directions": "E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
+                        "when its signal mass is state-independent",
+}
+CHECKS = tuple(ONE_STEP_DETAILS)
+
+# Trials the suite draws and checks together, so that its memory does not
+# grow with the trial count.
+SUITE_BLOCK = 256
 
 # :func:`check_limit_support_3state` needs this share of long runs to end
 # with every belief coordinate within ``SUPPORT_SLACK`` of {0, 1}.
@@ -62,25 +82,13 @@ class DeviationReport:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "max_abs_deviation": self.max_abs_deviation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
+        deviation = self.max_abs_deviation if np.isfinite(self.max_abs_deviation) else None  # strict JSON
+        return {"check_name": self.check_name, "max_abs_deviation": deviation, "tolerance": self.tolerance,
+                "pass": self.passed, "witness": self.witness, "detail": self.detail}
 
 
 def _report(name, deviation, tol, witness=None, detail=""):
-    return DeviationReport(
-        check_name=name,
-        max_abs_deviation=float(deviation),
-        tolerance=tol,
-        passed=bool(deviation <= tol),
-        witness=witness,
-        detail=detail,
-    )
+    return DeviationReport(name, float(deviation), tol, bool(deviation <= tol), witness, detail)
 
 
 def one_step_reports(belief: Belief, structure: SignalStructure, eta,
@@ -94,85 +102,68 @@ def one_step_reports(belief: Belief, structure: SignalStructure, eta,
     :class:`DegenerateBelief` if that state has no weight), and
     ``price_directions`` (a nonempty buy side raises the expectation, a sell
     side lowers it, and no trade keeps it when its signal mass is
-    state-independent; otherwise no trade carries information of its own)."""
-    w = belief.weights
-    if true_state is not None and w[true_state] <= 0.0:
-        raise DegenerateBelief(f"belief places zero weight on state index {true_state}")
-    e = _eta_value(eta)
-    bid, ask, buy, sell = quote_core(w, structure, e)
-    no_trade = np.ones(structure.n_signals, dtype=bool)
-    no_trade[buy] = no_trade[sell] = False
-    signal_sets = {BUY: buy, SELL: sell, NO_TRADE: np.flatnonzero(no_trade)}
-    values = structure.states.values
-    exp_val = float(values @ w)
+    state-independent; otherwise no trade carries information of its own).
+    This is the suite's row kernel on a batch of one."""
+    truth = None if true_state is None else np.array([true_state])
+    rows = _one_step_rows(belief.weights[None], structure.states.values, structure.likelihood, _eta_value(eta), truth)
+    at = {key: value[0] for key, value in rows.items()}
+    witnesses = {
+        "belief_martingale": {"state_index": int(at["state_index"])},
+        "price_martingale": {"expectation": float(at["expectation"]), "mixed": float(at["mixed_price"]),
+                             "quote_gap": float(at["quote_gap"])},
+        "likelihood_ratio_martingale": true_state is not None and {
+            "lambda": float(at["lambda"]), "mixed": float(at["mixed_lambda"]), "true_state": true_state},
+        "price_directions": {"expectation": float(at["expectation"]), "conditional": {
+            action: float(at["conditional"][a]) for a, action in enumerate(ACTIONS) if at["live"][a]}},
+    }
+    return {name: _report(name, at[name], ONE_STEP_TOL, witnesses[name], ONE_STEP_DETAILS[name])
+            for name in CHECKS if name in at}
 
-    like = np.array([_action_likelihood(structure, signal_sets[action], e) for action in ACTIONS])
-    # an action of probability 0 (buy and sell when eta is 0) adds nothing to any mixture
-    live = np.flatnonzero(like.any(axis=1))
-    like = like[live]
 
-    mixed_belief = np.zeros(structure.n_states)
-    mixed_price = 0.0
-    mixed_lam = 0.0
-    quote_gap = 0.0
-    violation = 0.0
-    conditional = {}
-    for a, like_a, stepped in zip(live, like, _normalized_rows(w * like)):
-        action = ACTIONS[a]
-        prob = float(w @ like_a)
-        cond = float(values @ stepped)
-        conditional[action] = cond
-        mixed_belief += prob * stepped
-        mixed_price += prob * cond
-        if action == BUY and buy.size:
-            quote_gap = max(quote_gap, abs(cond - ask))
-            violation = max(violation, exp_val - cond)  # must be strictly below zero
-        elif action == SELL and sell.size:
-            quote_gap = max(quote_gap, abs(cond - bid))
-            violation = max(violation, cond - exp_val)
-        elif action == NO_TRADE and float(like_a.max() - like_a.min()) <= 1e-12:
-            violation = max(violation, abs(cond - exp_val))
+def _one_step_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e, true_state=None) -> dict:
+    """Per row of ``w``, each one-step identity's deviation keyed by check
+    name, and the witness fields.  ``values``, ``table`` and ``e`` are shared
+    or per row as :func:`~market_learn.engine.quote_rows` takes them, and
+    ``true_state`` is one index per row or ``None``."""
+    r = np.arange(len(w))
+    if true_state is not None:
+        _raise_where(w[r, true_state] <= 0.0, DegenerateBelief, "belief places zero weight on its true state", w)
+    bid, ask, buy, sell, like = quote_rows(w, (values, table), e)
+    exp_val = _row_products(w, values[..., None])[:, 0]
+    live = like.any(axis=2)
+    cond = np.zeros((len(w), len(ACTIONS)))
+    mixed_belief, mixed_price, mixed_lam, quote_gap, violation = np.zeros_like(w), 0.0, 0.0, 0.0, 0.0
+    for a, action in enumerate(ACTIONS):
+        like_a = like[:, a]
+        # a dead action (buy and sell at eta 0) steps to the belief itself and adds an exact 0: its probability is 0
+        stepped = _normalized_rows(w * np.where(live[:, a, None], like_a, 1.0))
+        prob = _row_products(w, like_a[:, :, None])[:, 0]
+        cond[:, a] = c = _row_products(stepped, values[..., None])[:, 0]
+        mixed_belief = mixed_belief + prob[:, None] * stepped
+        mixed_price = mixed_price + prob * c
+        if action == NO_TRADE:
+            flat = like_a.max(axis=1) - like_a.min(axis=1) <= 1e-12
+            violation = np.maximum(violation, np.where(flat, np.abs(c - exp_val), 0.0))
+        else:
+            trades, quote = (buy.any(axis=1), ask) if action == BUY else (sell.any(axis=1), bid)
+            quote_gap = np.maximum(quote_gap, np.where(trades, np.abs(c - quote), 0.0))
+            # E[w|a,H] must lie strictly beyond E[w|H] on the side of the trade
+            violation = np.maximum(violation, np.where(trades, exp_val - c if action == BUY else c - exp_val, 0.0))
         if true_state is not None:
-            w_next = stepped[true_state]
-            lam_next = float((1.0 - w_next) / w_next) if w_next > 0 else np.inf
-            mixed_lam += float(like_a[true_state]) * lam_next
+            w_next = stepped[r, true_state]
+            lam_next = np.divide(1.0 - w_next, w_next, out=np.full(len(w), np.inf), where=w_next > 0)
+            mixed_lam = mixed_lam + like_a[r, true_state] * lam_next
 
     belief_gap = np.abs(mixed_belief - w)
-    worst = int(np.argmax(belief_gap))
-    reports = {
-        "belief_martingale": _report(
-            "belief_martingale",
-            belief_gap[worst],
-            ONE_STEP_TOL,
-            witness={"state_index": worst},
-            detail="sum_a P(a) mu'(w|a) compared against mu(w) over all states",
-        ),
-        "price_martingale": _report(
-            "price_martingale",
-            max(abs(mixed_price - exp_val), quote_gap),
-            ONE_STEP_TOL,
-            witness={"expectation": exp_val, "mixed": mixed_price, "quote_gap": quote_gap},
-            detail="sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
-        ),
-    }
+    state_index = belief_gap.argmax(axis=1)
+    rows = {"belief_martingale": belief_gap[r, state_index], "state_index": state_index,
+            "price_martingale": np.maximum(np.abs(mixed_price - exp_val), quote_gap), "expectation": exp_val,
+            "mixed_price": mixed_price, "quote_gap": quote_gap,
+            "price_directions": violation, "conditional": cond, "live": live}
     if true_state is not None:
-        lam = float((1.0 - w[true_state]) / w[true_state])
-        reports["likelihood_ratio_martingale"] = _report(
-            "likelihood_ratio_martingale",
-            abs(mixed_lam - lam),
-            ONE_STEP_TOL,
-            witness={"lambda": lam, "mixed": mixed_lam, "true_state": true_state},
-            detail="odds of incorrect states vs the true state, averaged under the true-state action law",
-        )
-    reports["price_directions"] = _report(
-        "price_directions",
-        violation,
-        ONE_STEP_TOL,
-        witness={"expectation": exp_val, "conditional": conditional},
-        detail="E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
-               "when its signal mass is state-independent",
-    )
-    return reports
+        lam = (1.0 - w[r, true_state]) / w[r, true_state]
+        rows.update({"likelihood_ratio_martingale": np.abs(mixed_lam - lam), "lambda": lam, "mixed_lambda": mixed_lam})
+    return rows
 
 
 def check_limit_support_3state(
@@ -229,63 +220,83 @@ def check_limit_support_3state(
 
 def random_structure(rng: np.random.Generator) -> SignalStructure:
     """Random strictly-positive structure with 2-4 states and 2-5 signals:
-    flat-Dirichlet rows floored at ``RANDOM_FLOOR`` and renormalized."""
-    n = int(rng.integers(2, 5))
-    m = int(rng.integers(2, 6))
-    rows = rng.dirichlet(np.ones(m), size=n)
-    rows = np.maximum(rows, RANDOM_FLOOR)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return _on_random_value_grid(rng, rows)
+    flat-Dirichlet rows floored at ``RANDOM_FLOOR`` and renormalized, over a
+    random value grid, with signals labelled s1, s2, ..."""
+    table = _draw_table(rng)
+    labels = tuple(f"s{j + 1}" for j in range(table.shape[1]))
+    return SignalStructure(StateSpace(_draw_values(rng, len(table))), SignalSpace(labels), table)
 
 
 def random_belief(rng: np.random.Generator, n: int) -> Belief:
-    raw = rng.dirichlet(np.ones(n))
-    raw = np.maximum(raw, RANDOM_FLOOR)
-    return Belief.from_unnormalized(raw)
+    return Belief.from_unnormalized(_draw_belief(rng, n))
 
 
-def _on_random_value_grid(rng: np.random.Generator, rows: np.ndarray) -> SignalStructure:
-    """The likelihood table ``rows`` over a random strictly increasing value
-    grid, with signals labelled s1, s2, ..."""
-    n, m = rows.shape
-    start = float(rng.uniform(-1.0, 1.0))
-    gaps = rng.uniform(0.3, 1.2, size=n - 1)
-    values = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    labels = tuple(f"s{j + 1}" for j in range(m))
-    return SignalStructure(StateSpace(values), SignalSpace(labels), rows)
+def _draw_table(rng: np.random.Generator) -> np.ndarray:
+    """The likelihood table of :func:`random_structure` as a plain array."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    rows = np.maximum(rng.dirichlet(np.ones(m), size=n), RANDOM_FLOOR)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _draw_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random strictly increasing grid of ``n`` state values."""
+    start, gaps = float(rng.uniform(-1.0, 1.0)), rng.uniform(0.3, 1.2, size=n - 1)
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def _draw_belief(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The unnormalized weights of :func:`random_belief`."""
+    return np.maximum(rng.dirichlet(np.ones(n)), RANDOM_FLOOR)
+
+
+def _fold_worst(worst: tuple, deviations: np.ndarray, first: int) -> tuple:
+    """``worst``, a (deviation, trial) pair, updated with the deviations of
+    trials ``first``, ``first + 1``, ...: the largest, the latest on ties,
+    except that the first non-finite deviation stays the worst."""
+    nonfinite = np.flatnonzero(~np.isfinite(deviations))
+    if not np.isfinite(worst[0]) or (not nonfinite.size and deviations.max() < worst[0]):
+        return worst
+    k = nonfinite[0] if nonfinite.size else np.flatnonzero(deviations == deviations.max())[-1]
+    return float(deviations[k]), first + int(k)
 
 
 def run_martingale_suite(trials: int = 1000, seed: int = 0,
                          structure: Optional[SignalStructure] = None,
                          eta: Optional[float] = None) -> list[DeviationReport]:
-    """Run :func:`one_step_reports` over ``trials`` randomized states and
-    aggregate the worst deviation (latest trial on ties) per identity.  Each
-    trial draws, in this order, the structure and the noise rate when they
-    are not given, a full-support belief and a true state."""
+    """Check the one-step identities of :func:`one_step_reports` over
+    ``trials`` randomized states and aggregate the worst deviation (latest
+    trial on ties) per identity; a non-finite deviation fails its identity,
+    and the first such trial is the worst.  Each trial draws, in this order,
+    the structure and the noise rate when they are not given, a full-support
+    belief and a true state.  Trials are drawn ``SUITE_BLOCK`` at a time and
+    each block is checked in one kernel call per (states, signals) shape."""
     if trials < 1:
         raise PreconditionFailed(f"the suite needs at least one trial, got {trials}")
     if seed < 0:
         raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    names = ["belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions"]
-    worst = {name: (0.0, None) for name in names}
+    rng, eta = np.random.default_rng(seed), None if eta is None else _eta_value(eta)
+    worst = {name: (0.0, None) for name in CHECKS}
 
-    for trial in range(trials):
-        struct = structure if structure is not None else random_structure(rng)
-        e = eta if eta is not None else float(rng.uniform(0.05, 0.95))
-        belief = random_belief(rng, struct.n_states)
-        true_state = int(rng.integers(0, struct.n_states))
-        for name, report in one_step_reports(belief, struct, e, true_state).items():
-            if report.max_abs_deviation >= worst[name][0]:
-                worst[name] = (report.max_abs_deviation, trial)
+    for first in range(0, trials, SUITE_BLOCK):
+        last, groups = min(first + SUITE_BLOCK, trials), {}
+        for trial in range(first, last):
+            table = structure.likelihood if structure is not None else _draw_table(rng)
+            values = structure.states.values if structure is not None else _draw_values(rng, len(table))
+            e = eta if eta is not None else _eta_value(rng.uniform(0.05, 0.95))
+            raw = _draw_belief(rng, len(values))
+            true_state = int(rng.integers(0, len(values)))
+            groups.setdefault(table.shape, []).append((trial - first, values, table, e, raw, true_state))
+        deviations = np.zeros((len(CHECKS), last - first))
+        for group in groups.values():
+            at, values, table, e, raw, true_state = map(np.array, zip(*group))
+            _check_values(values)
+            _check_tables(table)
+            rows = _one_step_rows(_normalized_rows(raw), values, table, e if eta is None else eta, true_state)
+            deviations[:, at] = [rows[name] for name in CHECKS]
+        for name, block in zip(CHECKS, deviations):
+            worst[name] = _fold_worst(worst[name], block, first)
 
-    return [
-        _report(
-            name,
-            deviation,
-            ONE_STEP_TOL,
-            witness={"worst_trial": trial, "trials": trials, "seed": seed},
-            detail=f"worst deviation across {trials} randomized market states",
-        )
-        for name, (deviation, trial) in worst.items()
-    ]
+    return [_report(name, deviation, ONE_STEP_TOL, witness={"worst_trial": trial, "trials": trials, "seed": seed},
+                    detail=f"worst deviation across {trials} randomized market states")
+            for name, (deviation, trial) in worst.items()]

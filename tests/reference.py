@@ -1,8 +1,9 @@
 """Scalar reference pieces the tests build their oracles from.
 
 These are the one-belief, value-type forms of updates the package runs on
-plain weight arrays: Bayes on a set of signals, the action likelihood of a
-partition class, the public update on an action, a point-mass belief, and
+plain weight arrays: Bayes on one signal and on a set of signals, the action
+likelihood of a partition class, the public update on an action, the scalar
+one-step identities the martingale suite batches, a point-mass belief, and
 loading a bare structure file.  Beside them sit two test-only helpers, the
 crossing signals of a state pair and random strict-MLRP structures, and the
 linear program that is the oracle for the cascade-belief decision.
@@ -11,24 +12,29 @@ Nothing in ``market_learn`` calls any of them; the tests do.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
 from market_learn.conditions import _check_tol
-from market_learn.errors import MarketLearnError, PreconditionFailed
+from market_learn.engine import quote_core
+from market_learn.errors import DegenerateBelief, MarketLearnError, PreconditionFailed
 from market_learn.model import (
+    ACTIONS,
     BUY,
     NO_TRADE,
     SELL,
     Belief,
     SignalPartition,
+    SignalSpace,
     SignalStructure,
+    StateSpace,
     _action_likelihood,
     _eta_value,
+    _normalized_rows,
 )
 from market_learn.scenario import _load_json, structure_from_dict
-from market_learn.verify import _on_random_value_grid
+from market_learn.verify import ONE_STEP_TOL, _draw_values, _report
 
 
 class EmptySignalSet(MarketLearnError):
@@ -59,6 +65,12 @@ def indices_for(partition: SignalPartition, action: str) -> tuple:
     raise KeyError(f"unknown action {action!r}")
 
 
+def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belief:
+    """Posterior after observing one signal: mu'(w) = mu(w) f(s|w) / normalizer."""
+    j = structure.signals.index(signal)
+    return Belief.from_unnormalized(belief.weights * structure.likelihood[:, j])
+
+
 def bayes_posterior_set(belief: Belief, structure: SignalStructure, signal_set: Iterable) -> Belief:
     """Posterior after learning only that the signal lies in ``signal_set``,
     i.e. an update with the set likelihood f(S|w) = sum of member columns."""
@@ -85,6 +97,91 @@ def update_public_belief_on_action(belief: Belief, structure: SignalStructure, p
     using the mixed noise/informed action likelihood."""
     like = action_likelihood_vector(structure, partition, eta, action)
     return Belief.from_unnormalized(belief.weights * like)
+
+
+def one_step_reports(belief: Belief, structure: SignalStructure, eta,
+                     true_state: Optional[int] = None) -> dict:
+    """The scalar form of :func:`market_learn.verify.one_step_reports`: the
+    quotes from :func:`quote_core`, then one Python pass over the live
+    actions (an action of probability 0, buy and sell at eta 0, adds
+    nothing to any mixture)."""
+    w = belief.weights
+    if true_state is not None and w[true_state] <= 0.0:
+        raise DegenerateBelief(f"belief places zero weight on state index {true_state}")
+    e = _eta_value(eta)
+    bid, ask, buy, sell = quote_core(w, structure, e)
+    no_trade = np.ones(structure.n_signals, dtype=bool)
+    no_trade[buy] = no_trade[sell] = False
+    signal_sets = {BUY: buy, SELL: sell, NO_TRADE: np.flatnonzero(no_trade)}
+    values = structure.states.values
+    exp_val = float(values @ w)
+
+    like = np.array([_action_likelihood(structure, signal_sets[action], e) for action in ACTIONS])
+    live = np.flatnonzero(like.any(axis=1))
+    like = like[live]
+
+    mixed_belief = np.zeros(structure.n_states)
+    mixed_price = 0.0
+    mixed_lam = 0.0
+    quote_gap = 0.0
+    violation = 0.0
+    conditional = {}
+    for a, like_a, stepped in zip(live, like, _normalized_rows(w * like)):
+        action = ACTIONS[a]
+        prob = float(w @ like_a)
+        cond = float(values @ stepped)
+        conditional[action] = cond
+        mixed_belief += prob * stepped
+        mixed_price += prob * cond
+        if action == BUY and buy.size:
+            quote_gap = max(quote_gap, abs(cond - ask))
+            violation = max(violation, exp_val - cond)
+        elif action == SELL and sell.size:
+            quote_gap = max(quote_gap, abs(cond - bid))
+            violation = max(violation, cond - exp_val)
+        elif action == NO_TRADE and float(like_a.max() - like_a.min()) <= 1e-12:
+            violation = max(violation, abs(cond - exp_val))
+        if true_state is not None:
+            w_next = stepped[true_state]
+            lam_next = float((1.0 - w_next) / w_next) if w_next > 0 else np.inf
+            mixed_lam += float(like_a[true_state]) * lam_next
+
+    belief_gap = np.abs(mixed_belief - w)
+    worst = int(np.argmax(belief_gap))
+    reports = {
+        "belief_martingale": _report(
+            "belief_martingale",
+            belief_gap[worst],
+            ONE_STEP_TOL,
+            witness={"state_index": worst},
+            detail="sum_a P(a) mu'(w|a) compared against mu(w) over all states",
+        ),
+        "price_martingale": _report(
+            "price_martingale",
+            max(abs(mixed_price - exp_val), quote_gap),
+            ONE_STEP_TOL,
+            witness={"expectation": exp_val, "mixed": mixed_price, "quote_gap": quote_gap},
+            detail="sum_a P(a) E[w|a,H] vs E[w|H]; trading quotes double-checked against E[w|a,H]",
+        ),
+    }
+    if true_state is not None:
+        lam = float((1.0 - w[true_state]) / w[true_state])
+        reports["likelihood_ratio_martingale"] = _report(
+            "likelihood_ratio_martingale",
+            abs(mixed_lam - lam),
+            ONE_STEP_TOL,
+            witness={"lambda": lam, "mixed": mixed_lam, "true_state": true_state},
+            detail="odds of incorrect states vs the true state, averaged under the true-state action law",
+        )
+    reports["price_directions"] = _report(
+        "price_directions",
+        violation,
+        ONE_STEP_TOL,
+        witness={"expectation": exp_val, "conditional": conditional},
+        detail="E[w|B,H] > E[w|H] > E[w|S,H] on nonempty sides; no-trade preserves it "
+               "when its signal mass is state-independent",
+    )
+    return reports
 
 
 def load_structure(path) -> SignalStructure:
@@ -127,7 +224,8 @@ def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
     x = np.cumsum(rng.uniform(0.4, 1.0, size=m))
     rows = np.exp(np.outer(theta, x))
     rows /= rows.sum(axis=1, keepdims=True)
-    return _on_random_value_grid(rng, rows)
+    labels = tuple(f"s{j + 1}" for j in range(m))
+    return SignalStructure(StateSpace(_draw_values(rng, n)), SignalSpace(labels), rows)
 
 
 def maxmin_support_lp(mat: np.ndarray):

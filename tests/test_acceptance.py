@@ -26,7 +26,6 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
-    bayes_posterior,
     expectation,
     posterior_values,
 )
@@ -38,7 +37,7 @@ from market_learn.simulate import (
     run_private_episode,
 )
 from market_learn.verify import random_structure, run_martingale_suite
-from reference import random_mlrp_structure
+from reference import bayes_posterior, random_mlrp_structure
 
 
 @contextmanager

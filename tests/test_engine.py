@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from market_learn.engine import BOUNDARY_BAND, quote_core, quote_rows, solve_quotes
+from market_learn.errors import InvalidBelief
 from market_learn.model import (
     ACTIONS,
     Belief,
@@ -182,8 +183,12 @@ def test_resolving_is_bit_identical():
 def test_quote_rows_match_quote_core_row_by_row():
     # the batched solver against the scalar one, bit for bit, on interior
     # beliefs and on near-vertex ones where the band decides the partition,
-    # at an interior noise rate and at the closed-form ends eta 0 and 1
+    # at an interior noise rate and at the closed-form ends eta 0 and 1; then
+    # the same rows in stacked calls, each row with its own values, table and
+    # interior noise rate: one call per (n, m) shape over all 40 structures,
+    # and one per shape at each shared end rate
     rng = np.random.default_rng(404)
+    stacks = {}
     for _ in range(40):
         structure = random_structure(rng)
         n, eta = structure.n_states, float(rng.uniform(0.05, 0.95))
@@ -192,6 +197,9 @@ def test_quote_rows_match_quote_core_row_by_row():
         w[:4] /= w[:4].sum(axis=1, keepdims=True)
         for e in (eta, 0.0, 1.0):
             bid, ask, buy, sell, like = quote_rows(w, structure, e)
+            stacks.setdefault((structure.likelihood.shape, e if e in (0.0, 1.0) else None), []).extend(
+                (w[r], structure.states.values, structure.likelihood, e, (bid[r], ask[r], buy[r], sell[r], like[r]))
+                for r in range(len(w)))
             for r in range(len(w)):
                 b, a, buy_r, sell_r = quote_core(w[r], structure, e)
                 assert (bid[r], ask[r]) == (b, a)
@@ -201,6 +209,22 @@ def test_quote_rows_match_quote_core_row_by_row():
                 for k, action in enumerate(ACTIONS):
                     np.testing.assert_array_equal(like[r, k],
                                                   action_likelihood_vector(structure, partition, e, action))
+    for (_, end_rate), rows in stacks.items():
+        w, values, table, e = (np.array([row[k] for row in rows]) for k in range(4))
+        stacked = quote_rows(w, (values, table), e if end_rate is None else end_rate)
+        for r, row in enumerate(rows):
+            for got, want in zip(stacked, row[4]):
+                np.testing.assert_array_equal(got[r], want)
+
+
+def test_quote_rows_reject_per_row_rates_at_the_ends():
+    # quote_core's closed forms at eta 0 and 1 take one shared rate; a per-row
+    # rate there would fall through to the prefix scan and mis-solve
+    structure = binary_symmetric(0.8)
+    w = np.array([[0.5, 0.5], [0.3, 0.7]])
+    for e in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan]):
+        with pytest.raises(InvalidBelief, match="per-row noise rate"):
+            quote_rows(w, (structure.states.values, structure.likelihood), np.array(e))
 
 
 # ---------------------------------------------------------------- stepping

@@ -16,13 +16,13 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
-    bayes_posterior,
     expectation,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade
 from reference import (
     EmptySignalSet,
     action_likelihood_vector,
+    bayes_posterior,
     bayes_posterior_set,
     point_mass,
     update_public_belief_on_action,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity
-from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, bayes_posterior, expectation
+from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, expectation
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
     ScenarioConfig,
@@ -14,7 +14,7 @@ from market_learn.simulate import (
     summarize_episodes,
 )
 from market_learn.verify import random_belief, random_structure
-from reference import point_mass
+from reference import bayes_posterior, point_mass
 
 
 def binary_config(**overrides):

@@ -1,6 +1,10 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
+import market_learn.verify as verify
 from market_learn.conditions import is_mlrp, is_pairwise_informative
 from market_learn.errors import DegenerateBelief, PreconditionFailed
 from market_learn.model import (
@@ -12,13 +16,16 @@ from market_learn.model import (
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.engine import solve_quotes
+from market_learn.scenario import to_json
 from market_learn.verify import (
+    SUITE_BLOCK,
     check_limit_support_3state,
     one_step_reports,
     random_belief,
     random_structure,
     run_martingale_suite,
 )
+import reference
 from reference import point_mass, random_mlrp_structure, update_public_belief_on_action
 
 # two states, three signals, with an asymmetric middle signal: the no-trade
@@ -238,17 +245,10 @@ def test_martingale_suite_rejects_a_negative_seed():
         run_martingale_suite(trials=5, seed=-1)
 
 
-@pytest.mark.parametrize("seed, structure, eta", [
-    (3, None, None),
-    (5, three_state_informative(), 0.5),
-    (8, four_state_cascade(), None),
-    (13, ASYMMETRIC_MIDDLE, 0.3),
-])
-def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
-    # the suite's worst deviation and worst trial per identity are the
-    # running maximum (latest trial on ties) of one_step_reports over the
-    # same randomized states, drawn as structure, eta, belief, true state
-    trials = 150
+def reference_suite(trials, seed, structure, eta):
+    """The suite's (worst deviation, worst trial) per identity as the running
+    maximum (latest trial on ties) of the scalar reference over the same
+    randomized states, drawn as structure, eta, belief, true state."""
     rng = np.random.default_rng(seed)
     worst = {}
     for trial in range(trials):
@@ -256,13 +256,86 @@ def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
         e = eta if eta is not None else float(rng.uniform(0.05, 0.95))
         belief = random_belief(rng, struct.n_states)
         true_state = int(rng.integers(0, struct.n_states))
-        for report in one_step_reports(belief, struct, e, true_state).values():
+        for report in reference.one_step_reports(belief, struct, e, true_state).values():
             if report.max_abs_deviation >= worst.get(report.check_name, (0.0, None))[0]:
                 worst[report.check_name] = (report.max_abs_deviation, trial)
+    return worst
 
+
+def assert_suite_matches_reference(trials, seed, structure, eta):
     reports = run_martingale_suite(trials=trials, seed=seed, structure=structure, eta=eta)
-    assert [r.check_name for r in reports] == [
-        "belief_martingale", "price_martingale", "likelihood_ratio_martingale", "price_directions",
-    ]
+    assert [r.check_name for r in reports] == list(verify.CHECKS)
+    worst = reference_suite(trials, seed, structure, eta)
     for report in reports:
         assert (report.max_abs_deviation, report.witness["worst_trial"]) == worst[report.check_name]
+
+
+@pytest.mark.parametrize("seed, structure, eta", [
+    (3, None, None),
+    (5, three_state_informative(), 0.5),
+    (8, four_state_cascade(), None),
+    (13, ASYMMETRIC_MIDDLE, 0.3),
+])
+def test_martingale_suite_matches_the_public_checks(seed, structure, eta):
+    assert_suite_matches_reference(150, seed, structure, eta)
+
+
+SUITE_STRUCTURES = {"random": None, "binary": binary_symmetric(0.8), "three_state": three_state_informative(),
+                    "four_state": four_state_cascade(), "asymmetric_middle": ASYMMETRIC_MIDDLE}
+SUITE_COUNTS = (1, SUITE_BLOCK - 1, SUITE_BLOCK, SUITE_BLOCK + 1)
+
+
+@pytest.mark.parametrize("i, name, eta", [
+    (i, name, eta) for i, (name, eta) in enumerate(product(SUITE_STRUCTURES, (None, 0.0, 1.0, 0.3)))
+])
+def test_blocked_suite_is_the_running_maximum_of_the_reference(i, name, eta):
+    # every structure meets every noise rate once; the seeds and the trial
+    # counts around the block size rotate so that each pairs with each rate
+    seed, trials = (0, 1, 7)[i % 3], SUITE_COUNTS[(i + i // 4) % 4]
+    assert_suite_matches_reference(trials, seed, SUITE_STRUCTURES[name], eta)
+
+
+def test_one_step_reports_match_the_scalar_reference():
+    cases = [(Belief.uniform(s.n_states), s, eta, t) for s in list(SUITE_STRUCTURES.values())[1:]
+             for eta in (0.0, 0.5, 1.0) for t in (None, s.n_states - 1)]
+    cases.append((point_mass(2, 1), binary_symmetric(0.8), 0.5, 1))
+    rng = np.random.default_rng(89)
+    for _ in range(100):
+        belief, structure, eta = random_case(rng)
+        cases.append((belief, structure, eta, int(rng.integers(0, structure.n_states))))
+    for belief, structure, eta, true_state in cases:
+        got = one_step_reports(belief, structure, eta, true_state)
+        want = reference.one_step_reports(belief, structure, eta, true_state)
+        assert [r.as_dict() for r in got.values()] == [r.as_dict() for r in want.values()]
+
+
+def test_suite_fails_a_non_finite_deviation_and_names_its_first_trial(monkeypatch):
+    kernel = verify._one_step_rows
+
+    def poisoned(*args):
+        rows = kernel(*args)
+        rows["price_martingale"][[2, 5]] = np.nan
+        return rows
+
+    monkeypatch.setattr(verify, "_one_step_rows", poisoned)
+    reports = {r.check_name: r for r in run_martingale_suite(trials=10, structure=binary_symmetric(0.8), eta=0.5)}
+    price = reports.pop("price_martingale")
+    assert not price.passed
+    assert price.witness["worst_trial"] == 2
+    assert price.as_dict()["max_abs_deviation"] is None
+    to_json(price.as_dict())  # strict JSON: null, not NaN
+    assert all(report.passed for report in reports.values())
+
+
+def test_suite_memory_does_not_grow_with_the_trial_count():
+    structure = three_state_informative()
+    run_martingale_suite(trials=SUITE_BLOCK, structure=structure)  # warm up one-time allocations
+    peaks = []
+    for blocks in (1, 8):
+        tracemalloc.start()
+        try:
+            run_martingale_suite(trials=blocks * SUITE_BLOCK, structure=structure)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
