@@ -95,9 +95,8 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
     )
 
     for idx, (xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        xs, ys = px(np.asarray(xs, dtype=float)), py(np.asarray(ys, dtype=float))
+        points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>'

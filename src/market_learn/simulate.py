@@ -170,7 +170,12 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
 
     Public mode: an informed period reveals the signal to everyone, the
     belief updates by Bayes rule and the price is the new expectation; a
-    noise period leaves both untouched.  No row ever leaves the active set.
+    noise period leaves both untouched.  So the kernel steps once per
+    revealed signal, not per period.  Rows are sorted by their count of
+    informed periods, most first, so update k steps a leading slice of rows
+    and writes their beliefs to column k + 1.  Each row is then spread over
+    its periods in place, a noise period repeating the belief before it,
+    and the prices follow from the beliefs in one product.
     """
     structure, e = config.structure, _eta_value(config.eta)
     values, m, t_max = structure.states.values, structure.n_signals, config.horizon
@@ -182,15 +187,16 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
         true_state[r], informative, signals, noise_actions = _draw_episode(config, i)
         code[r] = np.where(informative, signals, m + noise_actions)
 
-    prices = np.empty((size, t_max + 1))
     beliefs = np.empty((size, t_max + 1, structure.n_states))
-    w = np.tile(config.prior.weights, (size, 1))
-    price = _row_products(w, values)
-    active = np.arange(size)  # the rows stepped this period
+    slot = np.arange(size)  # the row of beliefs and prices that holds each episode
     cascade_time = np.full(size, -1)
-    for t in range(t_max + 1):
-        prices[active, t], beliefs[active, t] = price, w
-        if mode == PRIVATE:
+    if mode == PRIVATE:
+        prices = np.empty((size, t_max + 1))
+        w = np.tile(config.prior.weights, (size, 1))
+        price = _row_products(w, values)
+        active = np.arange(size)  # the rows stepped this period
+        for t in range(t_max + 1):
+            prices[active, t], beliefs[active, t] = price, w
             bid, ask, buy, sell, like = quote_rows(w, structure, e)
             trading = buy.any(axis=1) | sell.any(axis=1)
             frozen = active[~trading]
@@ -207,18 +213,30 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
             action = np.where(c < m, np.where(buy[rows, j], 0, np.where(sell[rows, j], 1, 2)), c - m)
             price = np.where(action == 0, ask, np.where(action == 1, bid, price))
             w = _normalized_rows(w * like[rows, action])
-        elif t < t_max:
-            # renormalising a noise row would change its bits, so only informed rows update
-            informed = code[:, t] < m
-            if informed.any():
-                w[informed] = _normalized_rows(w[informed] * structure.likelihood[:, code[informed, t]].T)
-                price[informed] = _row_products(w[informed], values)
+    else:
+        informed = code < m
+        counts = informed.sum(axis=1)
+        order = np.argsort(-counts, kind="stable")
+        slot[order] = np.arange(size)
+        signals = np.zeros((size, counts.max()), dtype=code.dtype)  # row k: row order[k]'s signals
+        for k, r in enumerate(order):
+            signals[k, :counts[r]] = code[r, informed[r]]
+        beliefs[:, 0] = config.prior.weights
+        table = structure.likelihood.T
+        # update k steps the rows with more than k informed periods, a leading slice
+        for k, a in enumerate(np.searchsorted(-counts[order], -np.arange(signals.shape[1])).tolist()):
+            beliefs[:a, k + 1] = _normalized_rows(beliefs[:a, k] * table[signals[:a, k]])
+        filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
+        for k, r in enumerate(order):
+            np.cumsum(informed[r], out=filled[1:])
+            beliefs[k] = beliefs[k, filled]
+        prices = _row_products(beliefs.reshape(-1, structure.n_states), values).reshape(size, t_max + 1)
 
     return [
         EpisodeResult(episode=i, mode=mode, true_state=int(s), true_value=float(values[s]),
-                      price_path=p, belief_path=b, cascade_time=None if ct < 0 else int(ct),
-                      final_belief_on_truth=float(b[-1, s]))
-        for i, s, ct, p, b in zip(episodes, true_state, cascade_time, prices, beliefs)
+                      price_path=prices[k], belief_path=beliefs[k], cascade_time=None if ct < 0 else int(ct),
+                      final_belief_on_truth=float(beliefs[k, -1, s]))
+        for i, s, ct, k in zip(episodes, true_state, cascade_time, slot)
     ]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from market_learn.cli import build_parser, main
 from market_learn.errors import MissingResults
 from market_learn.model import Belief
-from market_learn.plots import emit_plots
+from market_learn import plots
+from market_learn.plots import emit_plots, svg_line_chart
 from market_learn.presets import binary_symmetric
 from market_learn.scenario import to_json
 from market_learn.simulate import ScenarioConfig, run_episodes
@@ -468,3 +470,43 @@ def test_emit_plots_polyline_counts(tmp_path):
     learned_svg = written["learned_fraction"].read_text()
     assert learned_svg.count("<polyline") == 1
     assert (tmp_path / "belief_on_truth.svg").exists()
+
+
+def _per_point_polylines(series):
+    """The polyline points of svg_line_chart, scaled and formatted one point
+    at a time."""
+    xs_all = np.concatenate([np.asarray(xs, dtype=float) for xs, _ in series])
+    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = plots._WIDTH - plots._MARGIN_L - plots._MARGIN_R
+    plot_h = plots._HEIGHT - plots._MARGIN_T - plots._MARGIN_B
+    return [
+        " ".join(f"{plots._MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+                 f"{plots._MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h:.2f}"
+                 for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
+        for xs, ys in series
+    ]
+
+
+def _random_series(seed):
+    rng = np.random.default_rng(seed)
+    return [(np.arange(0, 301, 3), rng.normal(0.0, 10.0 ** rng.integers(-3, 4), 101)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("series", [
+    _random_series(1),
+    _random_series(2),
+    [(np.arange(5), np.full(5, 0.25))],  # y_hi == y_lo
+    [(np.full(3, 7.0), np.array([0.1, 0.9, 0.4]))],  # x_hi == x_lo
+    [([2.0], [0.6])],
+], ids=["random_1", "random_2", "constant_y", "constant_x", "single_point"])
+def test_svg_polylines_match_the_per_point_formatter(tmp_path, series):
+    text = svg_line_chart(series, tmp_path / "chart.svg").read_text()
+    assert re.findall(r'<polyline points="([^"]*)"', text) == _per_point_polylines(series)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,7 +213,7 @@ def test_public_batch_matches_single_episodes_at_degenerate_noise_rates(eta):
     config = ScenarioConfig(structure=three_state_informative(), prior=prior, eta=eta,
                             mode="public", horizon=50, episodes=4, seed=3)
     for result in _assert_batch_matches_single_episodes(config):
-        assert result.cascade_time is None
+        _assert_public_episode_matches_reference(config, result.episode)
         moved = np.any(np.diff(result.belief_path, axis=0) != 0, axis=1)
         # at eta 0 every period reveals a signal, at eta 1 none does
         assert moved.all() if eta == 0.0 else not moved.any()
@@ -326,6 +328,54 @@ def test_public_episode_matches_scalar_reference_on_random_structures():
                                 horizon=300, episodes=2, seed=int(rng.integers(1000)))
         for i in range(config.episodes):
             _assert_public_episode_matches_reference(config, i)
+
+
+PUBLIC_EDGES = {"horizon_one": dict(horizon=1, episodes=12), "fixed_true_state": dict(true_state=2)}
+
+
+@pytest.mark.parametrize("edge", PUBLIC_EDGES)
+def test_public_kernel_edges_match_reference_and_single_episodes(edge):
+    config = ScenarioConfig(**{**dict(structure=three_state_informative(), prior=Belief(np.array([0.5, 0.3, 0.2])),
+                                      eta=0.4, mode="public", horizon=80, episodes=6, seed=17),
+                               **PUBLIC_EDGES[edge]})
+    for result in _assert_batch_matches_single_episodes(config):
+        _assert_public_episode_matches_reference(config, result.episode)
+
+
+def test_public_rows_with_tied_and_empty_informed_counts_match_reference():
+    config = binary_config(mode="public", eta=0.8, horizon=16, episodes=12, seed=7)
+    results = _assert_batch_matches_single_episodes(config)
+    # every informed period moves a binary_symmetric belief, so the moves
+    # count the informed periods: a row with none sits between busy rows,
+    # and several rows tie
+    moves = [int(np.any(np.diff(r.belief_path, axis=0) != 0, axis=1).sum()) for r in results]
+    assert moves[3:6] == [7, 0, 5] and moves.count(3) >= 2
+    for result in results:
+        _assert_public_episode_matches_reference(config, result.episode)
+
+
+# Peak of traced allocations over the bytes of the returned paths.  The
+# kernel writes beliefs in place and keeps one byte per period for each of
+# the period codes, the informed mask and the signals; it measured 1.07
+# (four states, eta 0.5) and 1.14 (two states, eta 0).  A dense
+# (episodes, updates, states) history of the updates measured 1.49 and 1.81.
+PUBLIC_PEAK_RATIO = 1.25
+
+
+@pytest.mark.parametrize("preset, eta", [(four_state_cascade, 0.5), (binary_symmetric, 0.0)])
+def test_public_run_allocates_little_beyond_its_paths(preset, eta):
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta,
+                            mode="public", horizon=5000, episodes=50, seed=3)
+    run_episodes(config.with_overrides(horizon=10, episodes=2))  # warm up one-time allocations
+    tracemalloc.start()
+    try:
+        results = run_episodes(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    paths = sum(r.price_path.nbytes + r.belief_path.nbytes for r in results)
+    assert peak <= PUBLIC_PEAK_RATIO * paths, peak / paths
 
 
 # ---------------------------------------------------------------- summaries
