@@ -6,12 +6,18 @@ selection suffered against informed traders.  Rearranged, the zero-profit ask
 is exactly the conditional expectation of the asset value given a buy, and
 symmetrically for the bid, which is how the solver computes candidates.
 
-:func:`quote_core` solves one plain weight array and :func:`solve_quotes`
-wraps it in the value types: the scalar reference the tests pin against
-exhaustive enumeration.  :func:`quote_rows` solves every row of a weight
-array at once, bit for bit as :func:`quote_core` does at every noise rate,
-and also returns the three action likelihoods; it accepts per-row
-structures and noise rates, which the one-step suite stacks.
+The rule for ``0 < eta < 1``: sort the signals by conditional value,
+descending for the buy side and ascending for the sell side, and take the
+longest prefix in which each signal beats the quote of the prefix before it
+by more than ``BOUNDARY_BAND``.  A prefix quotes the conditional expectation
+given a trade on it, so the empty prefix quotes the expectation itself.  At
+``eta = 1`` both quotes are the expectation, and at ``eta = 0`` nobody
+trades and the quotes sit at the extreme conditional values.
+
+:func:`quote_rows` applies the rule to every row of a weight array at once,
+with per-row structures and noise rates when asked, and also returns the
+three action likelihoods.  :func:`solve_quotes` is that kernel on a batch of
+one, returned as the value types.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .model import (
     Belief,
     SignalPartition,
     SignalStructure,
-    _action_likelihood,
     _eta_value,
     _raise_where,
 )
@@ -35,7 +40,6 @@ from .model import (
 __all__ = [
     "BOUNDARY_BAND",
     "Quotes",
-    "quote_core",
     "quote_rows",
     "solve_quotes",
 ]
@@ -61,95 +65,6 @@ class Quotes:
             raise NoConsistentPartition(f"bid {self.bid} above ask {self.ask}")
 
 
-def _greedy_side(
-    v: np.ndarray,
-    order: np.ndarray,
-    num_sig: np.ndarray,
-    f_sig: np.ndarray,
-    exp_val: float,
-    eta: float,
-    sense: int,
-):
-    """Grow one side of the partition while the next signal strictly beats
-    the running quote by more than ``BOUNDARY_BAND``.
-
-    The running quote is the conditional expectation of the value given the
-    candidate set, which rises (falls) strictly below (above) each newly
-    included signal's value; the scan therefore terminates at the largest
-    self-consistent set, equivalently the tightest zero-profit quote.
-    """
-    noise = eta / 3.0
-    informed = 1.0 - eta
-    num = noise * exp_val
-    den = noise
-    quote = exp_val
-    k = 0
-    m = order.size
-    while k < m and sense * (v[order[k]] - quote) > BOUNDARY_BAND:
-        num += informed * num_sig[order[k]]
-        den += informed * f_sig[order[k]]
-        quote = num / den
-        k += 1
-    return k, float(quote)
-
-
-_NO_SIGNALS = np.empty(0, dtype=np.intp)
-
-
-def quote_core(w: np.ndarray, structure: SignalStructure, e: float):
-    """Array core of :func:`solve_quotes` for belief weights ``w`` and a
-    noise rate ``e`` already checked to lie in [0, 1].
-
-    Returns ``(bid, ask, buy, sell)``: the quotes as floats and the buy and
-    sell sets as signal index arrays, in descending (buy) and ascending
-    (sell) order of conditional value.  Raises :class:`NoConsistentPartition`
-    when the sets overlap, the bid is above the ask, or a quote fails the
-    zero-profit self-check.
-    """
-    values = structure.states.values
-    exp_val = float(values @ w)
-    f_sig = w @ structure.likelihood
-    num_sig = (values * w) @ structure.likelihood
-    v = num_sig / f_sig
-
-    if e >= 1.0:
-        return exp_val, exp_val, _NO_SIGNALS, _NO_SIGNALS
-    if e <= 0.0:
-        return min(exp_val, float(v.min())), max(exp_val, float(v.max())), _NO_SIGNALS, _NO_SIGNALS
-
-    order_desc = np.argsort(-v, kind="stable")
-    order_asc = np.argsort(v, kind="stable")
-    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1)
-    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1)
-
-    buy, sell = order_desc[:k_buy], order_asc[:k_sell]
-    if set(buy.tolist()) & set(sell.tolist()):
-        raise NoConsistentPartition(
-            f"buy and sell sets overlap: {tuple(buy.tolist())} / {tuple(sell.tolist())} (belief {w!r})"
-        )
-    if not (bid <= ask):
-        raise NoConsistentPartition(f"bid {bid} above ask {ask}")
-    _check_zero_profit(w, structure, e, buy, ask, exp_val, BUY)
-    _check_zero_profit(w, structure, e, sell, bid, exp_val, SELL)
-    return bid, ask, buy, sell
-
-
-def _check_zero_profit(w, structure, e, signals, quote, exp_val, action):
-    """Verify, through the action-likelihood route, that the quote equals the
-    conditional expectation given its own trade event."""
-    like = _action_likelihood(structure, signals, e)
-    mass = float(w @ like)
-    cond = float((structure.states.values * w) @ like) / mass
-    if abs(cond - quote) > ZERO_PROFIT_TOL * max(1.0, abs(quote)):
-        raise NoConsistentPartition(
-            f"{action} quote {quote} deviates from conditional expectation {cond}"
-        )
-    if not signals.size and abs(quote - exp_val) > ZERO_PROFIT_TOL * max(1.0, abs(exp_val)):
-        raise NoConsistentPartition(
-            f"empty {action} side must quote the expectation, got {quote} vs {exp_val}"
-        )
-
-
 def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``w[r] @ x`` for every row of ``w``, ``x`` shared or stacked per row.
     This stacked ``matmul`` rounds as the 1-D ``@`` does; ``w @ x``,
@@ -158,15 +73,18 @@ def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def quote_rows(w: np.ndarray, structure, e):
-    """:func:`quote_core` on every row of ``w``, with the same checks and
-    errors.  ``structure`` is a structure or a pair ``(values, table)``, each
-    shared or per row; ``e`` is one rate in [0, 1] or one per row in (0, 1).
-    Returns ``(bid, ask, buy, sell, like)``: per row the quotes, the sets as
-    signal masks, and the action likelihoods stacked as ``like[:, a]`` in
+    """The quote rule of this module on every row of ``w``.  ``structure``
+    is a structure or a pair ``(values, table)``, each shared or per row;
+    ``e`` is one rate in [0, 1] or one per row in (0, 1).  Returns ``(bid,
+    ask, buy, sell, like)``: per row the quotes, the sets as signal masks,
+    and the action likelihoods stacked as ``like[:, a]`` in
     :data:`~market_learn.model.ACTIONS` order.  For ``0 < e < 1`` each side
-    is the longest sorted prefix :func:`_greedy_side` accepts, tested against
-    the ``cumsum`` prefix quotes; set masses sum the members in sorted order,
-    masking the rest to zero, which adds exactly."""
+    is the longest sorted prefix whose every signal beats the ``cumsum``
+    quote of the prefix before it; set masses sum the members in sorted
+    order, masking the rest to zero, which adds exactly.  Every solve checks
+    that each quote is the conditional expectation of its trade, that the
+    sets do not overlap and that the bid is not above the ask, and raises
+    :class:`NoConsistentPartition` naming the first row that fails."""
     values, table = structure if isinstance(structure, tuple) else (structure.states.values, structure.likelihood)
     (rows, n), m = w.shape, table.shape[-1]
     r = np.arange(rows)[:, None]
@@ -179,7 +97,7 @@ def quote_rows(w: np.ndarray, structure, e):
         _raise_where(~((0.0 < e) & (e < 1.0)), InvalidBelief, "a per-row noise rate must lie inside (0, 1)", w)
         noise, informed = noise[:, None], informed[:, None]
 
-    if not isinstance(e, np.ndarray) and not 0.0 < e < 1.0:  # quote_core's closed forms: nobody trades on a signal
+    if not isinstance(e, np.ndarray) and not 0.0 < e < 1.0:  # the closed forms: nobody trades on a signal
         none, like = np.zeros((rows, m), dtype=bool), np.full((rows, n), noise)
         ask, bid = (exp_val, exp_val) if e >= 1.0 else (np.maximum(exp_val, v.max(axis=1)),
                                                         np.minimum(exp_val, v.min(axis=1)))
@@ -221,12 +139,12 @@ def solve_quotes(
 ) -> tuple[Quotes, SignalPartition]:
     """Solve the jointly consistent zero-profit quotes and signal partition.
 
-    Candidate buy sets are prefixes of the signals sorted by descending
-    conditional value; the candidate ask for a set is E[w | buy] computed in
-    closed form from the mixed action likelihood.  A set is consistent when
-    every included signal's value exceeds the ask and every excluded one does
-    not; among consistent sets the largest (lowest ask) wins, and the sell
-    side mirrors this with the highest consistent bid.
+    This is :func:`quote_rows` on a batch of one.  Candidate buy sets are
+    prefixes of the signals sorted by descending conditional value; the
+    candidate ask for a set is E[w | buy] computed in closed form from the
+    mixed action likelihood.  The buy set is the longest prefix whose every
+    signal's value exceeds the ask of the prefix before it by more than
+    ``BOUNDARY_BAND``, and the sell side mirrors this with the bid.
 
     Degenerate noise rates are defined rather than rejected: at ``eta = 1``
     both quotes collapse to the current expectation, and at ``eta = 0`` the
@@ -236,8 +154,11 @@ def solve_quotes(
     Returns
     -------
     (Quotes, SignalPartition)
-        The partition's buy/sell sets are exactly the signals strictly
-        beyond the returned quotes (up to ``BOUNDARY_BAND``).
+        The partition's buy/sell sets list signal indices in ascending
+        order.  A member sits beyond the quote of the set without it by more
+        than ``BOUNDARY_BAND``, but can sit within the band of the returned
+        quote, which includes it.
     """
-    bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta))
-    return Quotes(bid=bid, ask=ask), SignalPartition(structure.n_signals, buy=buy, sell=sell)
+    bid, ask, buy, sell, _ = quote_rows(belief.weights[None], structure, _eta_value(eta))
+    return (Quotes(bid=float(bid[0]), ask=float(ask[0])),
+            SignalPartition(structure.n_signals, buy=np.flatnonzero(buy[0]), sell=np.flatnonzero(sell[0])))

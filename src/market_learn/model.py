@@ -13,7 +13,6 @@ accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -146,10 +145,6 @@ class SignalStructure:
     @property
     def n_signals(self) -> int:
         return len(self.signals)
-
-    def set_mass(self, signal_indices: Sequence[int]) -> np.ndarray:
-        """f(S|w) for a set of signal column indices, per state."""
-        return self.likelihood[:, np.asarray(signal_indices, dtype=np.intp)].sum(axis=1)
 
 
 def _check_tables(table: np.ndarray) -> None:
@@ -294,9 +289,3 @@ def posterior_values(belief: Belief, structure: SignalStructure) -> np.ndarray:
     f_sig = w @ structure.likelihood
     num = (structure.states.values * w) @ structure.likelihood
     return num / f_sig
-
-
-def _action_likelihood(structure: SignalStructure, signal_indices, e: float) -> np.ndarray:
-    """eta/3 + (1 - eta) f(S|w) per state, for the action taken on the signal
-    columns ``signal_indices`` (summed in the order given)."""
-    return e / 3.0 + (1.0 - e) * structure.set_mass(signal_indices)

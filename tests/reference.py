@@ -1,13 +1,16 @@
 """Scalar reference pieces the tests build their oracles from.
 
-These are the one-belief, value-type forms of updates the package runs on
-plain weight arrays: Bayes on one signal and on a set of signals, the action
+These are the one-belief, value-type forms of rules the package runs on
+plain weight arrays.  The quote oracle is the scalar greedy scan
+(:func:`quote_core`, wrapped as :func:`reference_quotes`), which
+``engine.quote_rows`` and ``engine.solve_quotes`` are pinned against bit for
+bit.  Beside it sit Bayes on one signal and on a set of signals, the action
 likelihood of a partition class, the public update on an action, the scalar
 one-step identities the martingale suite batches, a point-mass belief, and
-loading a bare structure file.  Beside them sit two test-only helpers, the
-crossing signals of a state pair and random strict-MLRP structures, and the
-linear program that is the oracle for the cascade-belief decision.
-Nothing in ``market_learn`` calls any of them; the tests do.
+loading a bare structure file; two test-only helpers, the crossing signals
+of a state pair and random strict-MLRP structures; and the linear program
+that is the oracle for the cascade-belief decision.  Nothing in
+``market_learn`` calls any of them; the tests do.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from market_learn.conditions import _check_tol
-from market_learn.engine import quote_core
-from market_learn.errors import DegenerateBelief, MarketLearnError, PreconditionFailed
+from market_learn.engine import BOUNDARY_BAND, ZERO_PROFIT_TOL, Quotes
+from market_learn.errors import DegenerateBelief, MarketLearnError, NoConsistentPartition, PreconditionFailed
 from market_learn.model import (
     ACTIONS,
     BUY,
@@ -29,7 +32,6 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
-    _action_likelihood,
     _eta_value,
     _normalized_rows,
 )
@@ -65,6 +67,114 @@ def indices_for(partition: SignalPartition, action: str) -> tuple:
     raise KeyError(f"unknown action {action!r}")
 
 
+def set_mass(structure: SignalStructure, signal_indices) -> np.ndarray:
+    """f(S|w) for a set of signal column indices, per state."""
+    return structure.likelihood[:, np.asarray(signal_indices, dtype=np.intp)].sum(axis=1)
+
+
+def _action_likelihood(structure: SignalStructure, signal_indices, e: float) -> np.ndarray:
+    """eta/3 + (1 - eta) f(S|w) per state, for the action taken on the signal
+    columns ``signal_indices`` (summed in the order given)."""
+    return e / 3.0 + (1.0 - e) * set_mass(structure, signal_indices)
+
+
+def _greedy_side(
+    v: np.ndarray,
+    order: np.ndarray,
+    num_sig: np.ndarray,
+    f_sig: np.ndarray,
+    exp_val: float,
+    eta: float,
+    sense: int,
+):
+    """Grow one side of the partition while the next signal strictly beats
+    the running quote by more than ``BOUNDARY_BAND``.
+
+    The running quote is the conditional expectation of the value given the
+    candidate set, which rises (falls) strictly below (above) each newly
+    included signal's value; the scan therefore terminates at the largest
+    self-consistent set, equivalently the tightest zero-profit quote.
+    """
+    noise = eta / 3.0
+    informed = 1.0 - eta
+    num = noise * exp_val
+    den = noise
+    quote = exp_val
+    k = 0
+    m = order.size
+    while k < m and sense * (v[order[k]] - quote) > BOUNDARY_BAND:
+        num += informed * num_sig[order[k]]
+        den += informed * f_sig[order[k]]
+        quote = num / den
+        k += 1
+    return k, float(quote)
+
+
+_NO_SIGNALS = np.empty(0, dtype=np.intp)
+
+
+def quote_core(w: np.ndarray, structure: SignalStructure, e: float):
+    """The scalar quote oracle for belief weights ``w`` and a noise rate
+    ``e`` already checked to lie in [0, 1].
+
+    Returns ``(bid, ask, buy, sell)``: the quotes as floats and the buy and
+    sell sets as signal index arrays, in descending (buy) and ascending
+    (sell) order of conditional value.  Raises :class:`NoConsistentPartition`
+    when the sets overlap, the bid is above the ask, or a quote fails the
+    zero-profit self-check.
+    """
+    values = structure.states.values
+    exp_val = float(values @ w)
+    f_sig = w @ structure.likelihood
+    num_sig = (values * w) @ structure.likelihood
+    v = num_sig / f_sig
+
+    if e >= 1.0:
+        return exp_val, exp_val, _NO_SIGNALS, _NO_SIGNALS
+    if e <= 0.0:
+        return min(exp_val, float(v.min())), max(exp_val, float(v.max())), _NO_SIGNALS, _NO_SIGNALS
+
+    order_desc = np.argsort(-v, kind="stable")
+    order_asc = np.argsort(v, kind="stable")
+    k_buy, ask = _greedy_side(v, order_desc, num_sig, f_sig, exp_val, e, +1)
+    k_sell, bid = _greedy_side(v, order_asc, num_sig, f_sig, exp_val, e, -1)
+
+    buy, sell = order_desc[:k_buy], order_asc[:k_sell]
+    if set(buy.tolist()) & set(sell.tolist()):
+        raise NoConsistentPartition(
+            f"buy and sell sets overlap: {tuple(buy.tolist())} / {tuple(sell.tolist())} (belief {w!r})"
+        )
+    if not (bid <= ask):
+        raise NoConsistentPartition(f"bid {bid} above ask {ask}")
+    _check_zero_profit(w, structure, e, buy, ask, exp_val, BUY)
+    _check_zero_profit(w, structure, e, sell, bid, exp_val, SELL)
+    return bid, ask, buy, sell
+
+
+def _check_zero_profit(w, structure, e, signals, quote, exp_val, action):
+    """Verify, through the action-likelihood route, that the quote equals the
+    conditional expectation given its own trade event."""
+    like = _action_likelihood(structure, signals, e)
+    mass = float(w @ like)
+    cond = float((structure.states.values * w) @ like) / mass
+    if abs(cond - quote) > ZERO_PROFIT_TOL * max(1.0, abs(quote)):
+        raise NoConsistentPartition(
+            f"{action} quote {quote} deviates from conditional expectation {cond}"
+        )
+    if not signals.size and abs(quote - exp_val) > ZERO_PROFIT_TOL * max(1.0, abs(exp_val)):
+        raise NoConsistentPartition(
+            f"empty {action} side must quote the expectation, got {quote} vs {exp_val}"
+        )
+
+
+def reference_quotes(belief: Belief, structure: SignalStructure, eta) -> tuple:
+    """:func:`quote_core` in the value types, as ``(Quotes, SignalPartition)``.
+    The partition keeps the oracle's conditional-value order, so a set mass
+    built from it sums the members in that order."""
+    bid, ask, buy, sell = quote_core(belief.weights, structure, _eta_value(eta))
+    return Quotes(bid=bid, ask=ask), SignalPartition(structure.n_signals, buy=buy, sell=sell)
+
+
 def bayes_posterior(belief: Belief, structure: SignalStructure, signal) -> Belief:
     """Posterior after observing one signal: mu'(w) = mu(w) f(s|w) / normalizer."""
     j = structure.signals.index(signal)
@@ -79,7 +189,7 @@ def bayes_posterior_set(belief: Belief, structure: SignalStructure, signal_set: 
         raise EmptySignalSet("signal set must be nonempty")
     # canonical summation order, so unordered inputs stay bit-deterministic
     idx = sorted(structure.signals.index(s) for s in labels)
-    return Belief.from_unnormalized(belief.weights * structure.set_mass(idx))
+    return Belief.from_unnormalized(belief.weights * set_mass(structure, idx))
 
 
 def action_likelihood_vector(structure: SignalStructure, partition: SignalPartition, eta, action: str) -> np.ndarray:

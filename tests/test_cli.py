@@ -12,9 +12,10 @@ from market_learn.model import Belief
 from market_learn import plots
 from market_learn.plots import emit_plots, svg_line_chart
 from market_learn.presets import binary_symmetric
-from market_learn.scenario import to_json
+from market_learn.scenario import load_scenario, to_json
 from market_learn.simulate import ScenarioConfig, run_episodes
 from market_learn.verify import run_martingale_suite
+from reference import reference_quotes
 
 SHIPPED_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -141,6 +142,20 @@ def test_quotes_eta_override_collapses_spread(capsys, binary_file):
     doc = json.loads(out)
     assert doc["bid"] == doc["ask"] == pytest.approx(0.5)
     assert doc["cascade"] is True
+
+
+@pytest.mark.parametrize("eta", ["0", None, "1"])
+@pytest.mark.parametrize("name", ["binary_symmetric", "three_state_informative", "four_state_cascade"])
+def test_quotes_match_the_scalar_oracle_on_shipped_scenarios(capsys, name, eta):
+    # the closed-form ends eta 0 and 1 and the scenario's own eta
+    scenario = SHIPPED_SCENARIOS / f"{name}.json"
+    code, out, _ = run_cli(capsys, "quotes", "--scenario", str(scenario), *(("--eta", eta) if eta else ()))
+    assert code == 0
+    config = load_scenario(scenario)
+    quotes, partition = reference_quotes(config.prior, config.structure, config.eta if eta is None else float(eta))
+    assert json.loads(out) == {"bid": quotes.bid, "ask": quotes.ask,
+                               "partition": partition.assignment(config.structure.signals),
+                               "cascade": partition.all_no_trade}
 
 
 # ---------------------------------------------------------------- simulate
