@@ -219,7 +219,13 @@ def _divided_rows(raw: np.ndarray) -> np.ndarray:
 def _normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of ``raw`` divided by its sum and checked as a belief: the
     one normalise-and-check of :class:`Belief` and of the loops that carry
-    plain weight arrays.  :class:`InvalidBelief` names the first bad row."""
+    plain weight arrays.  :class:`InvalidBelief` names the first bad row.
+    Whole-array reductions run the checks; a failing array reruns them per row."""
+    total = raw.sum(axis=1)
+    if 0.0 < total.min() and total.max() < np.inf:
+        w = raw / total[:, None]
+        if w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= PROB_SUM_TOL:
+            return w
     return _checked_rows(_divided_rows(raw))
 
 

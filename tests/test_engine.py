@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import market_learn.simulate as simulate
 from market_learn.engine import BOUNDARY_BAND, quote_rows, solve_quotes
-from market_learn.errors import InvalidBelief
+from market_learn.errors import InvalidBelief, NoConsistentPartition
 from market_learn.model import (
     ACTIONS,
     Belief,
@@ -13,6 +14,7 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
+    _raise_where,
     expectation,
     posterior_values,
 )
@@ -372,6 +374,53 @@ def test_private_episode_matches_scalar_reference_on_random_structures():
         # one batch per structure; batch == single is pinned in test_simulation
         for result in run_episodes(config):
             _assert_episode_matches_reference(config, result)
+
+
+# Horizons on either side of one and two private-kernel blocks, plus one
+# period and 40 periods.
+BLOCK_HORIZONS = sorted({1, 40} | {j * simulate._BLOCK + d for j in (1, 2) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+@pytest.mark.parametrize("preset, eta, true_state", [
+    (three_state_informative, 0.0, None), (three_state_informative, 1.0, None),
+    (three_state_informative, 0.3, 2), (binary_symmetric, 0.3, None)])
+def test_private_episode_matches_scalar_reference_at_block_edges(horizon, preset, eta, true_state):
+    # binary_symmetric at eta 0.3 freezes rows within 40 periods, some of
+    # them at the horizon; eta 0 and 1 freeze every row at period 0
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta, mode="private",
+                            horizon=horizon, episodes=8, seed=15, true_state=true_state)
+    for result in run_episodes(config):
+        _assert_episode_matches_reference(config, result)
+
+
+def test_private_blocks_step_again_period_by_period_when_a_block_raises(monkeypatch):
+    # A block also solves beliefs the period loop never reaches: those past
+    # a row's first partition change, its freeze or its horizon.  A quote
+    # solver that fails on every such belief must leave the run unchanged,
+    # and one that fails on a belief the loop does reach must surface,
+    # naming that belief.
+    config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=0.3, mode="private",
+                            horizon=40, episodes=8, seed=15)
+    reached = {w.tobytes() for i in range(config.episodes) for w in reference_episode(config, i)[2]}
+    failed = []
+
+    def fails_off_the_path(w, structure, e):
+        off = np.array([row.tobytes() not in reached for row in w])
+        failed.append(int(off.sum()))
+        _raise_where(off, NoConsistentPartition, "off the period loop's path", w)
+        return quote_rows(w, structure, e)
+
+    monkeypatch.setattr(simulate, "quote_rows", fails_off_the_path)
+    for result in run_episodes(config):
+        _assert_episode_matches_reference(config, result)
+    assert sum(failed) > 0
+    target = reference_episode(config, 0)[2][20]  # episode 0 trades until period 40
+    reached.discard(target.tobytes())
+    with pytest.raises(NoConsistentPartition, match="off the period loop's path") as raised:
+        run_private_episode(config, 0)
+    assert repr(target) in str(raised.value)
 
 
 def test_one_step_price_martingale_on_random_states():

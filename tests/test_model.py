@@ -130,6 +130,23 @@ def test_from_unnormalized_checks_the_belief_once(monkeypatch):
         Belief.from_unnormalized([1.0, -0.5])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalized_rows_match_the_row_by_row_checks():
+    # the whole-array fast path returns the row-by-row quotient bit for bit,
+    # and each bad row raises the row-by-row error with its message
+    import market_learn.model as model
+    rng = np.random.default_rng(9)
+    raw = rng.random((50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 1))
+    np.testing.assert_array_equal(model._normalized_rows(raw), model._checked_rows(model._divided_rows(raw)))
+    for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -0.5], [-1.0, -1.0]):
+        rows = np.array([[0.5, 0.5], bad])
+        with pytest.raises(InvalidBelief) as fused:
+            model._normalized_rows(rows)
+        with pytest.raises(InvalidBelief) as checked:
+            model._checked_rows(model._divided_rows(rows))
+        assert str(fused.value) == str(checked.value)
+
+
 def test_noise_rate_bounds():
     structure = binary_symmetric()
     partition = SignalPartition(2, buy=(1,), sell=(0,))

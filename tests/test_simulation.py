@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import market_learn.simulate as simulate
 from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity
+from market_learn.engine import quote_rows
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, expectation
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
@@ -194,6 +196,25 @@ def test_batch_matches_single_episodes_with_a_fixed_true_state(mode):
     config = ScenarioConfig(structure=three_state_informative(), prior=Belief(np.array([0.5, 0.3, 0.2])),
                             eta=0.3, mode=mode, horizon=400, episodes=8, seed=5, true_state=2)
     assert all(r.true_state == 2 for r in _assert_batch_matches_single_episodes(config))
+
+
+def test_private_batch_matches_single_episodes_when_rows_freeze_inside_one_block(monkeypatch):
+    # binary_symmetric keeps its partition until it freezes, so every row
+    # steps whole blocks from period 0: the freezes at periods 36, 39 and
+    # 40, the horizon, all fall inside the last block, which starts at 32
+    solved = []
+
+    def counting(w, structure, e):
+        solved.append(len(w))
+        return quote_rows(w, structure, e)
+
+    monkeypatch.setattr(simulate, "quote_rows", counting)
+    config = binary_config(eta=0.3, horizon=40, seed=15)
+    results = _assert_batch_matches_single_episodes(config)
+    assert [r.cascade_time for r in results] == [40, 39, None, None, 39, None, None, 36]
+    blocks = -(-config.horizon // simulate._BLOCK)
+    assert (blocks - 1) * simulate._BLOCK == 32
+    assert solved[:blocks + 1] == [8] + blocks * [8 * simulate._BLOCK]
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
