@@ -92,21 +92,16 @@ def _apply_overrides(config, args):
     return config.with_overrides(**{key: value for key, value in overrides.items() if value is not None})
 
 
-def _write_episode_csv(results, config, path: Path) -> None:
+def _write_episode_csv(run, config, path: Path) -> None:
+    cascade = ["" if t < 0 else t for t in run.cascade_time.tolist()]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["episode", "true_state", "final_price", "final_belief_on_truth", "cascade_time", "learned"]
         )
-        for r in results:
-            writer.writerow([
-                r.episode,
-                r.true_state,
-                r.final_price,
-                r.final_belief_on_truth,
-                "" if r.cascade_time is None else r.cascade_time,
-                int(r.learned(config.convergence_tol)),
-            ])
+        writer.writerows(zip(run.episode.tolist(), run.true_state.tolist(), run.final_price.tolist(),
+                             run.final_belief_on_truth.tolist(), cascade,
+                             run.learned(config.convergence_tol).astype(int).tolist()))
 
 
 def _cmd_check(args) -> int:

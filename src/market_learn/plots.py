@@ -129,48 +129,37 @@ def checked_thin(thin) -> int:
     return thin
 
 
-def emit_plots(results, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> dict:
-    """Write the standard chart set for a batch of episode results.
+def emit_plots(run, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> dict:
+    """Write the standard chart set for a :class:`~market_learn.simulate.RunResult`.
 
     Produces a price-path overlay, the belief-on-the-true-state trajectories,
     and the learned fraction as a function of the horizon.  Paths are thinned
     to every ``thin``-th period and overlays capped at the first
     ``_MAX_SERIES`` episodes to bound file sizes.
     """
-    results = list(results)
-    if not results:
+    if not len(run):
         raise MissingResults("no episode results to plot")
     thin = checked_thin(thin)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    horizon = len(results[0].price_path) - 1
+    horizon = run.price_path.shape[1] - 1
     ts = np.arange(0, horizon + 1, thin)
 
-    shown = results[:_MAX_SERIES]
-    price_series = [(ts, r.price_path[::thin]) for r in shown]
-    belief_series = [(ts, r.belief_path[::thin, r.true_state]) for r in shown]
+    shown = min(len(run), _MAX_SERIES)
+    on_truth = run.belief_path[:shown, ::thin][np.arange(shown), :, run.true_state[:shown]]
+    price_series = [(ts, ys) for ys in run.price_path[:shown, ::thin]]
+    belief_series = [(ts, ys) for ys in on_truth]
 
-    prices = np.stack([r.price_path for r in results])
-    truths = np.array([r.true_value for r in results])
-    learned_by_t = (np.abs(prices - truths[:, None]) < convergence_tol).mean(axis=0)
-    learned_series = [(np.arange(horizon + 1), learned_by_t)]
-
-    written = {
+    learned_by_t = (np.abs(run.price_path - run.true_value[:, None]) < convergence_tol).mean(axis=0)
+    return {
         "price_paths": svg_line_chart(
-            price_series, out / "price_paths.svg",
-            title=f"Transaction price paths ({len(shown)} of {len(results)} episodes)",
-            x_label="period", y_label="price",
-        ),
+            price_series, out / "price_paths.svg", x_label="period", y_label="price",
+            title=f"Transaction price paths ({shown} of {len(run)} episodes)"),
         "belief_on_truth": svg_line_chart(
-            belief_series, out / "belief_on_truth.svg",
-            title="Public belief on the true state",
-            x_label="period", y_label="belief weight",
-        ),
+            belief_series, out / "belief_on_truth.svg", x_label="period", y_label="belief weight",
+            title="Public belief on the true state"),
         "learned_fraction": svg_line_chart(
-            learned_series, out / "learned_fraction.svg",
-            title=f"Fraction of episodes with |price - true value| < {convergence_tol:g}",
-            x_label="period", y_label="fraction",
-        ),
+            [(np.arange(horizon + 1), learned_by_t)], out / "learned_fraction.svg", x_label="period",
+            y_label="fraction", title=f"Fraction of episodes with |price - true value| < {convergence_tol:g}"),
     }
-    return written

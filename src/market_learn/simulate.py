@@ -28,6 +28,7 @@ __all__ = [
     "PUBLIC",
     "ScenarioConfig",
     "EpisodeResult",
+    "RunResult",
     "StateBreakdown",
     "MonteCarloSummary",
     "ModeComparison",
@@ -104,6 +105,43 @@ class EpisodeResult:
 
 
 @dataclass(frozen=True)
+class RunResult:
+    """The episodes of one run as columns: row ``k`` of each array is episode
+    ``episode[k]``; ``cascade_time`` is -1 where the row never froze.  The
+    paths are the kernel's own (E, T + 1) and (E, T + 1, n) arrays.  Indexing
+    and iteration give :class:`EpisodeResult` row views of them."""
+
+    mode: str
+    episode: np.ndarray
+    true_state: np.ndarray
+    true_value: np.ndarray
+    cascade_time: np.ndarray
+    price_path: np.ndarray
+    belief_path: np.ndarray
+
+    @property
+    def final_price(self) -> np.ndarray:
+        return self.price_path[:, -1]
+
+    @property
+    def final_belief_on_truth(self) -> np.ndarray:
+        return self.belief_path[np.arange(len(self)), -1, self.true_state]
+
+    def learned(self, convergence_tol: float) -> np.ndarray:
+        return np.abs(self.final_price - self.true_value) < convergence_tol
+
+    def __len__(self) -> int:
+        return len(self.episode)
+
+    def __getitem__(self, k) -> EpisodeResult:
+        s, ct = int(self.true_state[k]), int(self.cascade_time[k])
+        return EpisodeResult(episode=int(self.episode[k]), mode=self.mode, true_state=s,
+                             true_value=float(self.true_value[k]), price_path=self.price_path[k],
+                             belief_path=self.belief_path[k], cascade_time=None if ct < 0 else ct,
+                             final_belief_on_truth=float(self.belief_path[k, -1, s]))
+
+
+@dataclass(frozen=True)
 class StateBreakdown:
     state_index: int
     state_value: float
@@ -129,16 +167,15 @@ class ModeComparison:
     ``nesting_ok`` reports the empirical containment check: the public-signal
     market should learn at least as often as the private one, up to ``slack``
     of Monte Carlo noise.  ``private_episodes`` and ``public_episodes`` are
-    the episodes the summaries were built from; :meth:`as_dict` leaves them
-    out.
+    the runs the summaries were built from; :meth:`as_dict` leaves them out.
     """
 
     private: MonteCarloSummary
     public: MonteCarloSummary
     slack: float
     nesting_ok: bool
-    private_episodes: list = field(repr=False)
-    public_episodes: list = field(repr=False)
+    private_episodes: RunResult = field(repr=False)
+    public_episodes: RunResult = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -163,7 +200,7 @@ def _draw_episode(config: ScenarioConfig, episode_index: int):
     return true_state, informative, signals, rng.integers(0, 3, size=t)
 
 
-def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
+def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     """The episodes ``episodes`` of a run in market mode ``mode``, stepped
     together as the rows of one weight array.
 
@@ -182,32 +219,36 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
     Public mode: an informed period reveals the signal to everyone, the
     belief updates by Bayes rule and the price is the new expectation; a
     noise period leaves both untouched.  So the kernel steps once per
-    revealed signal, not per period.  Rows are sorted by their count of
-    informed periods, most first, so update k steps a leading slice of rows
-    and writes their beliefs to column k + 1.  Each row is then spread over
-    its periods in place, a noise period repeating the belief before it,
-    and the prices follow from the beliefs in one product.
+    revealed signal, not per period: update k steps every row, in episode
+    order, on its k + 1-th signal, or past its last one on signal 0 into
+    columns it never reads (a positive likelihood row keeps a belief valid).
+    Each row is then spread over its periods in place, a noise period
+    repeating the belief before it, and the prices follow from the beliefs
+    in one product.  :class:`ConfigInvalid` names a run too large to allocate.
     """
     structure, e = config.structure, _eta_value(config.eta)
     values, t_max = structure.states.values, config.horizon
     n, m = structure.likelihood.shape
+    episodes = np.array(episodes, dtype=np.intp)
     size = len(episodes)
     # per period the signal of an informed trader, else m + the noise action
+    try:
+        code = np.empty((size, t_max), dtype=np.min_scalar_type(m + 2))
+        beliefs = np.empty((size, t_max + 1, n))
+    except (MemoryError, ValueError):
+        raise ConfigInvalid(f"a run of {size} episodes x {t_max} periods does not fit in memory") from None
     true_state = np.empty(size, dtype=np.intp)
-    code = np.empty((size, t_max), dtype=np.min_scalar_type(m + 2))
-    for r, i in enumerate(episodes):
+    for r, i in enumerate(episodes.tolist()):
         true_state[r], informative, signals, noise_actions = _draw_episode(config, i)
         code[r] = np.where(informative, signals, m + noise_actions)
 
-    beliefs = np.empty((size, t_max + 1, n))
     beliefs[:, 0] = config.prior.weights
-    slot = np.arange(size)  # the row of beliefs and prices that holds each episode
     cascade_time = np.full(size, -1)
     if mode == PRIVATE:
         prices = np.empty((size, t_max + 1))
         prices[:, 0] = _row_products(beliefs[:, 0], values)
         t = np.zeros(size, dtype=np.intp)  # per row its last written period
-        active, quotes = slot, quote_rows(beliefs[:, 0], structure, e)  # quotes at each active row's period
+        active, quotes = np.arange(size), quote_rows(beliefs[:, 0], structure, e)  # quotes at each active row's period
         careful = 0  # periods left to step one at a time after a block raised
         while True:
             trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
@@ -253,27 +294,17 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> list[EpisodeResult]:
     else:
         informed = code < m
         counts = informed.sum(axis=1)
-        order = np.argsort(-counts, kind="stable")
-        slot[order] = np.arange(size)
-        signals = np.zeros((size, counts.max()), dtype=code.dtype)  # row k: row order[k]'s signals
-        for k, r in enumerate(order):
-            signals[k, :counts[r]] = code[r, informed[r]]
-        table = structure.likelihood.T
-        # update k steps the rows with more than k informed periods, a leading slice
-        for k, a in enumerate(np.searchsorted(-counts[order], -np.arange(signals.shape[1])).tolist()):
-            beliefs[:a, k + 1] = _normalized_rows(beliefs[:a, k] * table[signals[:a, k]])
+        signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
+        signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
+        for k in range(signals.shape[1]):
+            beliefs[:, k + 1] = _normalized_rows(beliefs[:, k] * structure.likelihood.T[signals[:, k]])
         filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
-        for k, r in enumerate(order):
+        for r in range(size):
             np.cumsum(informed[r], out=filled[1:])
-            beliefs[k] = beliefs[k, filled]
+            beliefs[r] = beliefs[r, filled]
         prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
-
-    return [
-        EpisodeResult(episode=i, mode=mode, true_state=int(s), true_value=float(values[s]),
-                      price_path=prices[k], belief_path=beliefs[k], cascade_time=None if ct < 0 else int(ct),
-                      final_belief_on_truth=float(beliefs[k, -1, s]))
-        for i, s, ct, k in zip(episodes, true_state, cascade_time, slot)
-    ]
+    return RunResult(mode=mode, episode=episodes, true_state=true_state, true_value=values[true_state],
+                     cascade_time=cascade_time, price_path=prices, belief_path=beliefs)
 
 
 def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
@@ -289,42 +320,26 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     return _run(config, [episode_index], PUBLIC)[0]
 
 
-def run_episodes(config: ScenarioConfig) -> list[EpisodeResult]:
+def run_episodes(config: ScenarioConfig) -> RunResult:
     """All episodes of the scenario, in episode order, as one batch."""
     return _run(config, range(config.episodes), config.mode)
 
 
-def summarize_episodes(results: list[EpisodeResult], config: ScenarioConfig) -> MonteCarloSummary:
-    tol = config.convergence_tol
-    learned = np.array([r.learned(tol) for r in results])
-    errors = np.array([abs(r.final_price - r.true_value) for r in results])
-    cascaded = np.array([r.cascade_time is not None for r in results])
-    states = np.array([r.true_state for r in results])
-
+def summarize_episodes(run: RunResult, config: ScenarioConfig) -> MonteCarloSummary:
+    learned = run.learned(config.convergence_tol)
+    errors = np.abs(run.final_price - run.true_value)
+    cascaded = run.cascade_time >= 0
     per_state = []
-    for i in range(config.structure.n_states):
-        mask = states == i
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        per_state.append(
-            StateBreakdown(
-                state_index=i,
-                state_value=float(config.structure.states.values[i]),
-                episodes=count,
-                learned_fraction=float(learned[mask].mean()),
-                cascade_fraction=float(cascaded[mask].mean()),
-                mean_abs_price_error=float(errors[mask].mean()),
-            )
-        )
-
-    return MonteCarloSummary(
-        episodes=len(results),
-        learned_fraction=float(learned.mean()),
-        mean_abs_price_error=float(errors.mean()),
-        cascade_fraction=float(cascaded.mean()),
-        per_state=tuple(per_state),
-    )
+    for i, value in enumerate(config.structure.states.values.tolist()):
+        mask = run.true_state == i
+        if mask.any():
+            per_state.append(StateBreakdown(
+                state_index=i, state_value=value, episodes=int(mask.sum()),
+                learned_fraction=float(learned[mask].mean()), cascade_fraction=float(cascaded[mask].mean()),
+                mean_abs_price_error=float(errors[mask].mean())))
+    return MonteCarloSummary(episodes=len(run), learned_fraction=float(learned.mean()),
+                             mean_abs_price_error=float(errors.mean()),
+                             cascade_fraction=float(cascaded.mean()), per_state=tuple(per_state))
 
 
 def run_monte_carlo(config: ScenarioConfig) -> MonteCarloSummary:

@@ -194,7 +194,7 @@ def check_limit_support_3state(
         episodes=trials,
         seed=seed,
     )
-    final = np.array([result.belief_path[-1] for result in run_episodes(config)])
+    final = run_episodes(config).belief_path[:, -1]
     distances = np.minimum(final, 1.0 - final).max(axis=1)
     ok_fraction = float((distances <= SUPPORT_SLACK).mean())
     deviation = max(0.0, 1.0 - ok_fraction)

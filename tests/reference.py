@@ -6,10 +6,11 @@ plain weight arrays.  The quote oracle is the scalar greedy scan
 ``engine.quote_rows`` and ``engine.solve_quotes`` are pinned against bit for
 bit.  Beside it sit Bayes on one signal and on a set of signals, the action
 likelihood of a partition class, the public update on an action, the scalar
-one-step identities the martingale suite batches, a point-mass belief, and
-loading a bare structure file; two test-only helpers, the crossing signals
-of a state pair and random strict-MLRP structures; and the linear program
-that is the oracle for the cascade-belief decision.  Nothing in
+one-step identities the martingale suite batches, the Monte Carlo summary
+as a loop over episodes, a point-mass belief, and loading a bare structure
+file; two test-only helpers, the crossing signals of a state pair and random
+strict-MLRP structures; and the linear program that is the oracle for the
+cascade-belief decision.  Nothing in
 ``market_learn`` calls any of them; the tests do.
 """
 
@@ -36,6 +37,7 @@ from market_learn.model import (
     _normalized_rows,
 )
 from market_learn.scenario import _load_json, structure_from_dict
+from market_learn.simulate import MonteCarloSummary, StateBreakdown
 from market_learn.verify import ONE_STEP_TOL, _draw_values, _report
 
 
@@ -292,6 +294,40 @@ def one_step_reports(belief: Belief, structure: SignalStructure, eta,
                "when its signal mass is state-independent",
     )
     return reports
+
+
+def reference_summary(results, config) -> MonteCarloSummary:
+    """``simulate.summarize_episodes`` as a loop over the episodes' row views."""
+    tol = config.convergence_tol
+    learned = np.array([r.learned(tol) for r in results])
+    errors = np.array([abs(r.final_price - r.true_value) for r in results])
+    cascaded = np.array([r.cascade_time is not None for r in results])
+    states = np.array([r.true_state for r in results])
+
+    per_state = []
+    for i in range(config.structure.n_states):
+        mask = states == i
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        per_state.append(
+            StateBreakdown(
+                state_index=i,
+                state_value=float(config.structure.states.values[i]),
+                episodes=count,
+                learned_fraction=float(learned[mask].mean()),
+                cascade_fraction=float(cascaded[mask].mean()),
+                mean_abs_price_error=float(errors[mask].mean()),
+            )
+        )
+
+    return MonteCarloSummary(
+        episodes=len(results),
+        learned_fraction=float(learned.mean()),
+        mean_abs_price_error=float(errors.mean()),
+        cascade_fraction=float(cascaded.mean()),
+        per_state=tuple(per_state),
+    )
 
 
 def load_structure(path) -> SignalStructure:

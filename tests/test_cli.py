@@ -414,6 +414,16 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert "seed" in err
 
 
+def test_simulate_of_a_run_too_large_to_allocate_exits_one(capsys, binary_file, tmp_path):
+    # 10**18 periods is 888 PiB of period codes, more than any overcommit
+    # policy maps, so the failing allocation reserves nothing
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(binary_file), "--output", str(tmp_path / "sim"),
+                             "--episodes", "1", "--horizon", str(10**18))
+    assert code == 1
+    assert out == ""
+    assert err == "error: a run of 1 episodes x 1000000000000000000 periods does not fit in memory\n"
+
+
 @pytest.mark.parametrize("thin", ["-5", "0"])
 def test_simulate_plots_with_a_nonpositive_thin_exits_one(capsys, binary_file, tmp_path, thin):
     out_dir = tmp_path / "sim"

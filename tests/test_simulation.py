@@ -18,7 +18,7 @@ from market_learn.simulate import (
     summarize_episodes,
 )
 from market_learn.verify import random_belief, random_structure
-from reference import bayes_posterior, point_mass
+from reference import bayes_posterior, point_mass, reference_summary
 
 
 def binary_config(**overrides):
@@ -152,8 +152,10 @@ def _assert_batch_matches_single_episodes(config):
     """run_episodes steps all episodes together; each must equal the batch
     of one that the mode's single-episode entry point runs, bit for bit."""
     batch = run_episodes(config)
-    assert [r.episode for r in batch] == list(range(config.episodes))
+    np.testing.assert_array_equal(batch.episode, np.arange(config.episodes))
     for result in batch:
+        # the rows are views of the kernel's arrays, not copies
+        assert np.shares_memory(batch.belief_path, result.belief_path)
         single = RUN_EPISODE[config.mode](config, result.episode)
         assert (result.mode, result.true_state) == (single.mode, single.true_state)
         np.testing.assert_array_equal(result.price_path, single.price_path)
@@ -163,12 +165,20 @@ def _assert_batch_matches_single_episodes(config):
     return batch
 
 
-@pytest.mark.parametrize("mode", ["private", "public"])
+# Public runs of 1-3 periods hold rows with no informed period beside rows
+# informed in every period; at eta 1 no row updates at all.
+@pytest.mark.parametrize("mode, horizon, eta", [
+    ("private", 600, 0.5), ("public", 600, 0.5),
+    ("public", 1, 0.5), ("public", 2, 0.5), ("public", 3, 0.5), ("public", 600, 1.0),
+], ids=["private", "public", "public-h1", "public-h2", "public-h3", "public-eta1"])
 @pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
-def test_batch_matches_single_episodes_on_presets(preset, mode):
+def test_batch_matches_single_episodes_on_presets(preset, mode, horizon, eta):
     structure = preset()
-    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
-                            mode=mode, horizon=600, episodes=12, seed=21)
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta,
+                            mode=mode, horizon=horizon, episodes=12, seed=21)
+    if horizon <= 3:
+        counts = {int(simulate._draw_episode(config, i)[1].sum()) for i in range(config.episodes)}
+        assert {0, horizon} <= counts
     _assert_batch_matches_single_episodes(config)
 
 
@@ -410,6 +420,30 @@ def test_single_episode_summary_matches_indicators():
     assert summary.learned_fraction == float(r.learned(config.convergence_tol))
     assert summary.cascade_fraction == float(r.cascade_time is not None)
     assert summary.mean_abs_price_error == pytest.approx(abs(r.final_price - r.true_value))
+
+
+@pytest.mark.parametrize("mode", ["private", "public"])
+@pytest.mark.parametrize("preset, true_state", [
+    (binary_symmetric, None), (three_state_informative, None), (four_state_cascade, None),
+    (three_state_informative, 1),  # states 0 and 2 draw no episodes and must not appear in per_state
+])
+def test_summary_matches_per_episode_reference(preset, true_state, mode):
+    structure = preset()
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5, mode=mode,
+                            horizon=300, episodes=40, seed=13, true_state=true_state)
+    run = run_episodes(config)
+    summary = summarize_episodes(run, config)
+    assert summary == reference_summary(run, config)
+    if true_state is not None:
+        assert [s.state_index for s in summary.per_state] == [true_state]
+
+
+def test_run_too_large_to_allocate_raises_a_typed_error():
+    # 10**18 one-byte period codes are 888 PiB, which no overcommit policy
+    # maps, so the failing allocation reserves nothing
+    for mode in ("private", "public"):
+        with pytest.raises(ConfigInvalid, match=r"1 episodes x 1000000000000000000 periods"):
+            run_episodes(binary_config(mode=mode, episodes=1, horizon=10**18))
 
 
 def test_four_state_summary_learned_fraction_is_zero():
