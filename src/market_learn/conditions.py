@@ -238,7 +238,7 @@ def find_cascade_beliefs(
     ``basis_dimension`` still reflects it.
     """
     _check_tol(tol)
-    low, high = structure.states.low, structure.states.high
+    low, high = structure.states.values[[0, -1]].tolist()
     if not (low <= c <= high):
         raise OutOfHull(f"target expectation {c} outside [{low}, {high}]")
 

@@ -70,14 +70,6 @@ class StateSpace:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def low(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def high(self) -> float:
-        return float(self.values[-1])
-
 
 def _check_values(values: np.ndarray) -> None:
     """Check that one row of state values, or each stacked row, is finite and strictly increasing."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import _row_products, quote_rows
 from .errors import ConfigInvalid, InvalidBelief, NoConsistentPartition, PreconditionFailed
-from .model import Belief, SignalStructure, _eta_value, _normalized_rows
+from .model import PROB_SUM_TOL, Belief, SignalStructure, _eta_value, _normalized_rows
 
 __all__ = [
     "PRIVATE",
@@ -47,6 +47,8 @@ PUBLIC = "public"
 # (see _run).  16 ran the shipped scenarios faster, but 35% slower than the
 # period loop on 300 episodes whose sets change every ~13 periods; 8 did not.
 _BLOCK = 8
+# Updates per public-mode chunk (see _run): 32-256 ran alike at 300 x 30,000; 256 held 6 MB more.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -186,18 +188,21 @@ class ModeComparison:
         }
 
 
-def _draw_episode(config: ScenarioConfig, episode_index: int):
-    """``(true_state, informative, signals, noise_actions)``, the last three
-    per period; noise actions 0/1/2 are B/S/NT."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
-    structure, t = config.structure, config.horizon
-    if config.true_state is None:
-        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
-    else:
-        true_state = config.true_state
-    informative = rng.random(t) >= config.eta
-    signals = rng.choice(structure.n_signals, size=t, p=structure.likelihood[true_state])
-    return true_state, informative, signals, rng.integers(0, 3, size=t)
+def _draw_codes(config: ScenarioConfig, episodes, code: np.ndarray) -> np.ndarray:
+    """Per row of ``episodes`` its true state, filling ``code`` (see _run).
+    One uniform per true state, trader type and signal, in the contract's
+    order; a draw counts the CDF entries at or below its uniform, the CDF
+    built as ``Generator.choice`` builds it, so the draws are ``choice``'s."""
+    t, drawn, m = config.horizon, int(config.true_state is None), config.structure.n_signals
+    prior_cdf, cdf = (c / c[..., -1:] for c in (config.prior.weights.cumsum(), config.structure.likelihood.cumsum(1)))
+    true_state = np.full(len(episodes), config.true_state or 0, dtype=np.intp)
+    for r, i in enumerate(episodes.tolist()):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+        u = rng.random(2 * t + drawn)
+        s = true_state[r] = (prior_cdf <= u[0]).sum() if drawn else true_state[r]
+        code[r] = np.where(u[drawn:drawn + t] >= config.eta, (cdf[s, :, None] <= u[drawn + t:]).sum(0),
+                           rng.integers(m, m + 3, size=t))
+    return true_state
 
 
 def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
@@ -219,12 +224,15 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     Public mode: an informed period reveals the signal to everyone, the
     belief updates by Bayes rule and the price is the new expectation; a
     noise period leaves both untouched.  So the kernel steps once per
-    revealed signal, not per period: update k steps every row, in episode
-    order, on its k + 1-th signal, or past its last one on signal 0 into
-    columns it never reads (a positive likelihood row keeps a belief valid).
-    Each row is then spread over its periods in place, a noise period
-    repeating the belief before it, and the prices follow from the beliefs
-    in one product.  :class:`ConfigInvalid` names a run too large to allocate.
+    revealed signal: update k steps every row, in episode order, on its
+    k + 1-th signal, or past its last one on signal 0 into columns it never
+    reads (a positive likelihood row keeps a belief valid).  Chunks of
+    ``_CHUNK`` updates step unchecked in one buffer and pass
+    ``_normalized_rows``'s test as a whole, or step again through it, so an
+    error names the belief the update loop raises on.  Each row is then
+    spread over its periods in place, a noise period repeating the belief
+    before it, and the prices follow from the beliefs in one product.
+    :class:`ConfigInvalid` names a run too large to allocate.
     """
     structure, e = config.structure, _eta_value(config.eta)
     values, t_max = structure.states.values, config.horizon
@@ -237,10 +245,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
         beliefs = np.empty((size, t_max + 1, n))
     except (MemoryError, ValueError):
         raise ConfigInvalid(f"a run of {size} episodes x {t_max} periods does not fit in memory") from None
-    true_state = np.empty(size, dtype=np.intp)
-    for r, i in enumerate(episodes.tolist()):
-        true_state[r], informative, signals, noise_actions = _draw_episode(config, i)
-        code[r] = np.where(informative, signals, m + noise_actions)
+    true_state = _draw_codes(config, episodes, code)
 
     beliefs[:, 0] = config.prior.weights
     cascade_time = np.full(size, -1)
@@ -296,8 +301,19 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
         counts = informed.sum(axis=1)
         signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
         signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
-        for k in range(signals.shape[1]):
-            beliefs[:, k + 1] = _normalized_rows(beliefs[:, k] * structure.likelihood.T[signals[:, k]])
+        step, total = np.empty((_CHUNK + 1, size, n)), np.empty((_CHUNK, size))  # step[j]: beliefs j updates on
+        for k in range(0, signals.shape[1], _CHUNK):
+            like, step[0] = structure.likelihood.T[signals[:, k:k + _CHUNK].T], beliefs[:, k]
+            c, w = len(like), step[1:len(like) + 1]
+            with np.errstate(all="ignore"):
+                for j in range(c):
+                    np.add.reduce(np.multiply(step[j], like[j], out=step[j + 1]), axis=1, out=total[j])
+                    np.divide(step[j + 1], total[j, :, None], out=step[j + 1])
+            if not (0.0 < total[:c].min() and total[:c].max() < np.inf and w.min() >= 0.0
+                    and np.abs(w.sum(axis=2) - 1.0).max() <= PROB_SUM_TOL):
+                for j in range(c):
+                    step[j + 1] = _normalized_rows(step[j] * like[j])
+            beliefs[:, k + 1:k + c + 1] = w.transpose(1, 0, 2)
         filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
         for r in range(size):
             np.cumsum(informed[r], out=filled[1:])

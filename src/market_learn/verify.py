@@ -185,15 +185,8 @@ def check_limit_support_3state(
     if not is_pairwise_informative(structure).holds:
         raise PreconditionFailed("check requires a pairwise informative structure")
 
-    config = ScenarioConfig(
-        structure=structure,
-        prior=Belief.uniform(structure.n_states),
-        eta=float(eta),
-        mode=PRIVATE,
-        horizon=horizon,
-        episodes=trials,
-        seed=seed,
-    )
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=float(eta),
+                            mode=PRIVATE, horizon=horizon, episodes=trials, seed=seed)
     final = run_episodes(config).belief_path[:, -1]
     distances = np.minimum(final, 1.0 - final).max(axis=1)
     ok_fraction = float((distances <= SUPPORT_SLACK).mean())

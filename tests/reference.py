@@ -7,11 +7,12 @@ plain weight arrays.  The quote oracle is the scalar greedy scan
 bit.  Beside it sit Bayes on one signal and on a set of signals, the action
 likelihood of a partition class, the public update on an action, the scalar
 one-step identities the martingale suite batches, the Monte Carlo summary
-as a loop over episodes, a point-mass belief, and loading a bare structure
-file; two test-only helpers, the crossing signals of a state pair and random
-strict-MLRP structures; and the linear program that is the oracle for the
-cascade-belief decision.  Nothing in
-``market_learn`` calls any of them; the tests do.
+as a loop over episodes, an episode's draws through ``Generator.choice``,
+the public kernel's per-update loop, a point-mass belief, and loading a
+bare structure file; two test-only helpers, the crossing signals of a state
+pair and random strict-MLRP structures; and the linear program that is the
+oracle for the cascade-belief decision.  Nothing in ``market_learn`` calls
+any of them; the tests do.
 """
 
 from __future__ import annotations
@@ -328,6 +329,35 @@ def reference_summary(results, config) -> MonteCarloSummary:
         cascade_fraction=float(cascaded.mean()),
         per_state=tuple(per_state),
     )
+
+
+def draw_episode(config, episode_index: int):
+    """``(true_state, informative, signals, noise_actions)`` of one episode
+    as the simulator's reproducibility contract states them, the last three
+    per period (noise actions 0/1/2 are B/S/NT), drawn with
+    ``Generator.choice``: the oracle for ``simulate._draw_codes``."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
+    structure, t = config.structure, config.horizon
+    if config.true_state is None:
+        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
+    else:
+        true_state = config.true_state
+    informative = rng.random(t) >= config.eta
+    signals = rng.choice(structure.n_signals, size=t, p=structure.likelihood[true_state])
+    return true_state, informative, signals, rng.integers(0, 3, size=t)
+
+
+def public_update_loop(prior: np.ndarray, likelihood: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """The public kernel's update loop with a check per update: row r of
+    the result holds ``prior[r]`` and then its belief after each of
+    ``signals[r]``, every update one ``_normalized_rows`` call, so an
+    :class:`InvalidBelief` names the first bad belief of the first bad
+    update.  The oracle for the chunked loop of ``simulate._run``."""
+    beliefs = np.empty((len(prior), signals.shape[1] + 1, prior.shape[1]))
+    beliefs[:, 0] = prior
+    for k in range(signals.shape[1]):
+        beliefs[:, k + 1] = _normalized_rows(beliefs[:, k] * likelihood.T[signals[:, k]])
+    return beliefs
 
 
 def load_structure(path) -> SignalStructure:

@@ -18,7 +18,7 @@ from market_learn.simulate import (
     summarize_episodes,
 )
 from market_learn.verify import random_belief, random_structure
-from reference import bayes_posterior, point_mass, reference_summary
+from reference import bayes_posterior, draw_episode, point_mass, public_update_loop, reference_summary
 
 
 def binary_config(**overrides):
@@ -177,7 +177,7 @@ def test_batch_matches_single_episodes_on_presets(preset, mode, horizon, eta):
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta,
                             mode=mode, horizon=horizon, episodes=12, seed=21)
     if horizon <= 3:
-        counts = {int(simulate._draw_episode(config, i)[1].sum()) for i in range(config.episodes)}
+        counts = {int(draw_episode(config, i)[1].sum()) for i in range(config.episodes)}
         assert {0, horizon} <= counts
     _assert_batch_matches_single_episodes(config)
 
@@ -302,26 +302,23 @@ def test_public_mode_learns_four_state_structure():
     assert good >= 18
 
 
-def reference_public_episode(config, episode_index):
-    """run_public_episode rebuilt from bayes_posterior and expectation, with
-    the draws of the documented contract."""
-    structure = config.structure
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, episode_index)))
-    if config.true_state is None:
-        true_state = int(rng.choice(structure.n_states, p=config.prior.weights))
-    else:
-        true_state = config.true_state
-    informative = rng.random(config.horizon) >= config.eta
-    signals = rng.choice(structure.n_signals, size=config.horizon, p=structure.likelihood[true_state])
-
-    belief = config.prior
+def reference_public_path(config, informative, signals):
+    """The prices and beliefs of a public episode with these draws, rebuilt
+    from bayes_posterior and expectation."""
+    structure, belief = config.structure, config.prior
     prices, beliefs = [expectation(structure.states, belief)], [belief.weights]
-    for t in range(config.horizon):
+    for t in range(len(informative)):
         if informative[t]:
             belief = bayes_posterior(belief, structure, structure.signals.labels[int(signals[t])])
         prices.append(expectation(structure.states, belief))
         beliefs.append(belief.weights)
-    return true_state, np.array(prices), np.array(beliefs)
+    return np.array(prices), np.array(beliefs)
+
+
+def reference_public_episode(config, episode_index):
+    """run_public_episode rebuilt from the draws of the documented contract."""
+    true_state, informative, signals, _ = draw_episode(config, episode_index)
+    return (true_state, *reference_public_path(config, informative, signals))
 
 
 def _assert_public_episode_matches_reference(config, episode_index):
@@ -383,6 +380,91 @@ def test_public_rows_with_tied_and_empty_informed_counts_match_reference():
     assert moves[3:6] == [7, 0, 5] and moves.count(3) >= 2
     for result in results:
         _assert_public_episode_matches_reference(config, result.episode)
+
+
+@pytest.mark.parametrize("horizon", [1, 250])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("true_state", [None, 1])
+@pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
+def test_draws_match_the_choice_draws_bit_for_bit(preset, true_state, eta, horizon):
+    structure = preset()
+    prior = Belief.from_unnormalized(np.arange(1.0, structure.n_states + 1))
+    config = ScenarioConfig(structure=structure, prior=prior, eta=eta, mode="public", horizon=horizon,
+                            episodes=16, seed=9, true_state=true_state)
+    code = np.empty((config.episodes, horizon), dtype=np.intp)
+    drawn = simulate._draw_codes(config, np.arange(config.episodes), code)
+    for i in range(config.episodes):
+        state, informative, signals, noise_actions = draw_episode(config, i)
+        assert drawn[i] == state
+        np.testing.assert_array_equal(code[i], np.where(informative, signals, structure.n_signals + noise_actions))
+    assert len(set(drawn.tolist())) > 1 if true_state is None else set(drawn.tolist()) == {true_state}
+
+
+# At eta 0 every period reveals a signal, so a public run makes one update
+# per period: one short of a chunk, one chunk, one past it, one past two.
+@pytest.mark.parametrize("horizon", [63, 64, 65, 129])
+def test_public_chunk_edges_match_reference(horizon):
+    assert simulate._CHUNK == 64
+    config = ScenarioConfig(structure=four_state_cascade(), prior=Belief(np.array([0.4, 0.3, 0.2, 0.1])),
+                            eta=0.0, mode="public", horizon=horizon, episodes=4, seed=11)
+    run = _assert_batch_matches_single_episodes(config)
+    for result in run:
+        _assert_public_episode_matches_reference(config, result.episode)
+    # with no noise period to fill, the paths are the update loop's rows
+    signals = np.array([draw_episode(config, i)[2] for i in range(config.episodes)])
+    prior = np.tile(config.prior.weights, (config.episodes, 1))
+    np.testing.assert_array_equal(run.belief_path, public_update_loop(prior, config.structure.likelihood, signals))
+
+
+def test_public_chunks_mix_rows_with_no_updates_and_with_every_update(monkeypatch):
+    # at eta 0 every row updates in each of its 129 periods, three chunks;
+    # rows 1 and 4 are made all noise after the draws, so they never update
+    quiet, draw = [1, 4], simulate._draw_codes
+
+    def with_quiet_rows(config, episodes, code):
+        true_state = draw(config, episodes, code)
+        code[quiet] = config.structure.n_signals  # the noise action B
+        return true_state
+
+    monkeypatch.setattr(simulate, "_draw_codes", with_quiet_rows)
+    config = ScenarioConfig(structure=three_state_informative(), prior=Belief(np.array([0.5, 0.3, 0.2])),
+                            eta=0.0, mode="public", horizon=129, episodes=6, seed=4)
+    run = run_episodes(config)
+    for k in range(config.episodes):
+        true_state, informative, signals, _ = draw_episode(config, k)
+        assert informative.all()
+        prices, beliefs = reference_public_path(config, informative & (k not in quiet), signals)
+        assert run.true_state[k] == true_state
+        np.testing.assert_array_equal(run.price_path[k], prices)
+        np.testing.assert_array_equal(run.belief_path[k], beliefs)
+    assert np.all(run.belief_path[quiet] == config.prior.weights)
+
+
+# A table that SignalStructure rejects: state 0 gives the rare signal "c" a
+# negative likelihood, so an update on "c" breaks the belief.
+RARE_NEGATIVE_TABLE = np.array([[0.5, 0.51, -0.01], [0.5, 0.49, 0.01]])
+
+
+def test_public_chunk_that_fails_its_check_raises_as_the_update_loop():
+    # the table is swapped in after validation, as in
+    # test_batch_rejects_a_belief_with_a_negative_weight; the true state's
+    # row stays valid, so only the update on "c" can fail
+    structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b", "c")),
+                                np.array([[0.5, 0.49, 0.01], [0.5, 0.49, 0.01]]))
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=0.0, mode="public",
+                            horizon=200, episodes=3, seed=5, true_state=1)
+    object.__setattr__(config.structure, "likelihood", RARE_NEGATIVE_TABLE)
+    signals = np.array([draw_episode(config, i)[2] for i in range(config.episodes)])
+    # the first bad update is update 96 of row 0, inside the second chunk;
+    # row 1 never draws "c"
+    first_bad = [int(np.argmax(row == 2)) if (row == 2).any() else None for row in signals]
+    assert first_bad == [96, None, 97] and simulate._CHUNK <= 96 < 2 * simulate._CHUNK
+    with pytest.raises(InvalidBelief) as expected:
+        public_update_loop(np.tile(config.prior.weights, (config.episodes, 1)), RARE_NEGATIVE_TABLE, signals)
+    for run in (lambda: run_episodes(config), lambda: run_public_episode(config, 0)):
+        with pytest.raises(InvalidBelief) as raised:
+            run()
+        assert str(raised.value) == str(expected.value)
 
 
 # Peak of traced allocations over the bytes of the returned paths.  The
