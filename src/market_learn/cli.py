@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .conditions import (azc_audit, find_cascade_beliefs, is_cascade_belief, is_mlrp, is_pairwise_informative,
@@ -41,9 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help, *flags, scenario_required=True):
+    def add_command(name, handler, help, *flags, scenario_required=True):
         # each subcommand takes only the flags its handler reads
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
         p.add_argument("--seed", type=int, help="override seed")
         p.add_argument("--json-errors", action="store_true", help="report errors as JSON on stderr")
@@ -51,28 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         return p
 
-    p_check = add_command("check", "run the signal-structure condition checkers")
+    p_check = add_command("check", _cmd_check, "run the signal-structure condition checkers")
     p_check.add_argument("--tol", type=float, default=1e-9, help="equality tolerance for the checkers")
     p_check.add_argument("--azc-delta", type=float, default=None,
                          help="also run the movement audit with this mispricing delta")
 
-    add_command("quotes", "solve quotes and the signal partition at the prior", "eta")
+    add_command("quotes", _cmd_quotes, "solve quotes and the signal partition at the prior", "eta")
 
-    p_sim = add_command("simulate", "run a Monte Carlo batch and emit CSV + summary JSON",
+    p_sim = add_command("simulate", _cmd_simulate, "run a Monte Carlo batch and emit CSV + summary JSON",
                         "output", "episodes", "horizon", "eta", "mode")
     p_sim.add_argument("--plots", action="store_true", help="emit SVG charts")
     p_sim.add_argument("--thin", type=int, default=10, help="plot every k-th period")
 
-    p_cmp = add_command("compare", "run both market modes on shared draws",
+    p_cmp = add_command("compare", _cmd_compare, "run both market modes on shared draws",
                         "output", "episodes", "horizon", "eta")
     p_cmp.add_argument("--slack", type=float, default=0.05,
                        help="statistical slack for the learning containment check")
 
-    p_scan = add_command("cascade-scan", "locate cascade beliefs at each state value and gap midpoint")
+    p_scan = add_command("cascade-scan", _cmd_cascade_scan,
+                         "locate cascade beliefs at each state value and gap midpoint")
     p_scan.add_argument("--c", type=float, default=None, help="probe a single target expectation")
     p_scan.add_argument("--tol", type=float, default=1e-9, help="cascade residual tolerance")
 
-    p_verify = add_command("verify", "run the one-step identity suite (exit 2 on failure)",
+    p_verify = add_command("verify", _cmd_verify, "run the one-step identity suite (exit 2 on failure)",
                            "horizon", "eta", scenario_required=False)
     p_verify.add_argument("--trials", type=int, default=1000, help="randomized states per check")
 
@@ -88,7 +90,8 @@ def _fail(message: str, json_errors: bool) -> int:
 
 
 def _apply_overrides(config, args):
-    overrides = {key: getattr(args, key, None) for key in ("episodes", "horizon", "seed", "eta", "mode")}
+    """``config`` with every field that has a parsed flag of its name replaced by the flag's value."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(config)}
     return config.with_overrides(**{key: value for key, value in overrides.items() if value is not None})
 
 
@@ -104,8 +107,7 @@ def _write_episode_csv(run, config, path: Path) -> None:
                              run.learned(config.convergence_tol).astype(int).tolist()))
 
 
-def _cmd_check(args) -> int:
-    config = _apply_overrides(load_scenario(args.scenario), args)
+def _cmd_check(args, config) -> int:
     structure = config.structure
     report = {
         "pairwise_informative": asdict(is_pairwise_informative(structure, tol=args.tol)),
@@ -120,8 +122,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_quotes(args) -> int:
-    config = _apply_overrides(load_scenario(args.scenario), args)
+def _cmd_quotes(args, config) -> int:
     quotes, partition = solve_quotes(config.prior, config.structure, config.eta)
     print(to_json({
         "bid": quotes.bid,
@@ -132,8 +133,7 @@ def _cmd_quotes(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _apply_overrides(load_scenario(args.scenario), args)
+def _cmd_simulate(args, config) -> int:
     thin = checked_thin(args.thin) if args.plots else None
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,8 +153,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    config = _apply_overrides(load_scenario(args.scenario), args)
+def _cmd_compare(args, config) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -170,8 +169,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_cascade_scan(args) -> int:
-    config = _apply_overrides(load_scenario(args.scenario), args)
+def _cmd_cascade_scan(args, config) -> int:
     if args.c is not None:
         found = [find_cascade_beliefs(config.structure, args.c, tol=args.tol)]
     else:
@@ -183,12 +181,11 @@ def _cmd_cascade_scan(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config) -> int:
     # without a scenario --eta fixes the random suite's noise rate, the seed
     # defaults to 0 and --horizon is rejected
     structure, eta, seed = None, args.eta, 0 if args.seed is None else args.seed
-    if args.scenario:
-        config = _apply_overrides(load_scenario(args.scenario), args)
+    if config is not None:
         structure, eta, seed = config.structure, config.eta, config.seed
     elif args.horizon is not None:
         raise PreconditionFailed("horizon applies only to the statistical check, which needs --scenario")
@@ -209,16 +206,6 @@ def _cmd_verify(args) -> int:
     return 2 if hard_failure else 0
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "quotes": _cmd_quotes,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "cascade-scan": _cmd_cascade_scan,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -227,11 +214,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; report those as validation errors
         return 0 if exc.code == 0 else 1
 
-    json_errors = getattr(args, "json_errors", False)
     try:
-        return _COMMANDS[args.command](args)
+        config = None if args.scenario is None else _apply_overrides(load_scenario(args.scenario), args)
+        return args.handler(args, config)
     except (MarketLearnError, ValueError) as exc:
-        return _fail(str(exc), json_errors)
+        return _fail(str(exc), args.json_errors)
 
 
 def entrypoint() -> None:

@@ -25,6 +25,7 @@ belief in it is found from the vertices of its slice of the simplex.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +53,10 @@ NULLSPACE_RCOND = 1e-10
 # Weights below this floor are treated as boundary (not full support) when
 # classifying numerically obtained cascade beliefs.
 FULL_SUPPORT_FLOOR = 1e-9
+
+# Most (d - 1)-subsets of the states find_cascade_beliefs enumerates per target, one small SVD each: at
+# about 64 us per subset (n = 14, d = 7: 3,003 subsets in 191 ms, 2 CPUs) a target stays under a second.
+MAX_VERTEX_SUBSETS = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,8 @@ def find_cascade_beliefs(
     it is nonnegative up to the full-support floor.  The representative is
     the mean of these vertices, which has full support exactly when some
     point of the polytope has.  At d = 1 the only vertex is K itself scaled
-    onto the simplex; the cost grows as C(n, d - 1) small SVDs.
+    onto the simplex; the cost grows as C(n, d - 1) small SVDs, and more
+    than ``MAX_VERTEX_SUBSETS`` of them raise :class:`PreconditionFailed`.
 
     The representative is re-verified with :func:`is_cascade_belief` at the
     same ``tol``; one touching the simplex boundary (any coordinate at or
@@ -246,6 +252,10 @@ def find_cascade_beliefs(
     n, dim = kernel.shape
     if dim == 0:
         return CascadeBeliefSet(target_expectation=float(c))
+    subsets = math.comb(n, dim - 1)
+    if subsets > MAX_VERTEX_SUBSETS:
+        raise PreconditionFailed(f"cascade vertex search at n = {n}, d = {dim} needs {subsets} subsets, "
+                                 f"over the budget of {MAX_VERTEX_SUBSETS}")
 
     vertices = []
     for zeros in itertools.combinations(range(n), dim - 1):

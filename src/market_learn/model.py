@@ -208,15 +208,22 @@ def _divided_rows(raw: np.ndarray) -> np.ndarray:
     return raw / total[:, None]
 
 
+def _rows_are_beliefs(total: np.ndarray, w: np.ndarray) -> bool:
+    """The one test of a batch of new beliefs: every row sum in ``total`` positive and finite, every weight of ``w``
+    nonnegative and every row of ``w`` (its last axis) summing to 1 within ``PROB_SUM_TOL``, with NaN failing it."""
+    return bool(0.0 < total.min() and total.max() < np.inf and w.min() >= 0.0
+                and np.abs(w.sum(axis=-1) - 1.0).max() <= PROB_SUM_TOL)
+
+
 def _normalized_rows(raw: np.ndarray) -> np.ndarray:
     """Each row of ``raw`` divided by its sum and checked as a belief: the
     one normalise-and-check of :class:`Belief` and of the loops that carry
     plain weight arrays.  :class:`InvalidBelief` names the first bad row.
-    Whole-array reductions run the checks; a failing array reruns them per row."""
-    total = raw.sum(axis=1)
-    if 0.0 < total.min() and total.max() < np.inf:
+    A batch that fails :func:`_rows_are_beliefs` reruns the checks per row."""
+    with np.errstate(all="ignore"):
+        total = raw.sum(axis=1)
         w = raw / total[:, None]
-        if w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= PROB_SUM_TOL:
+        if _rows_are_beliefs(total, w):
             return w
     return _checked_rows(_divided_rows(raw))
 

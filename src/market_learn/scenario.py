@@ -4,17 +4,17 @@ Structure document:
     {"states": [...], "signals": [...], "likelihood": [[row per state]]}
 with rows in state order and columns in signal order.
 
-Scenario document:
-    {"structure": {...}, "prior": [...], "eta": x, "mode": "private"|"public",
-     "horizon": N, "episodes": N, "seed": N, "convergence_tol": x,
-     "true_state": N | null}
-Unknown keys are rejected outright; the simulation keys fall back to the
-ScenarioConfig defaults when omitted.
+Scenario document: one key per field of ScenarioConfig, which is the one
+schema; "structure" holds a structure document, "prior" a list of weights
+and every other field a number, except "mode" ("private" or "public") and
+a "true_state" of null, which leaves it unset.  Unknown keys are rejected
+outright, and a field with a default falls back to it when omitted.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from numbers import Real
 from pathlib import Path
 
@@ -35,11 +35,9 @@ __all__ = [
 ]
 
 _STRUCTURE_KEYS = {"states", "signals", "likelihood"}
-_SCENARIO_KEYS = {
-    "structure", "prior", "eta", "mode",
-    "horizon", "episodes", "seed", "convergence_tol", "true_state",
-}
-_REQUIRED_SCENARIO_KEYS = {"structure", "prior", "eta", "mode"}
+# the ScenarioConfig fields are the scenario schema: a field without a default is required
+_SCENARIO_FIELDS = fields(ScenarioConfig)
+_REQUIRED_SCENARIO_KEYS = {f.name for f in _SCENARIO_FIELDS if f.default is MISSING}
 
 
 def _number(doc: dict, key: str, integer: bool = False):
@@ -71,11 +69,8 @@ def structure_from_dict(doc: dict) -> SignalStructure:
     labels = doc["signals"]
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ConfigInvalid(f"signals must be a list of strings, got {labels!r}")
-    return SignalStructure(
-        StateSpace(_float_array(doc, "states")),
-        SignalSpace(tuple(labels)),
-        _float_array(doc, "likelihood"),
-    )
+    return SignalStructure(StateSpace(_float_array(doc, "states")), SignalSpace(tuple(labels)),
+                           _float_array(doc, "likelihood"))
 
 
 def structure_to_dict(structure: SignalStructure) -> dict:
@@ -87,43 +82,22 @@ def structure_to_dict(structure: SignalStructure) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    _check_keys(doc, "scenario", _SCENARIO_KEYS, _REQUIRED_SCENARIO_KEYS)
+    _check_keys(doc, "scenario", {f.name for f in _SCENARIO_FIELDS}, _REQUIRED_SCENARIO_KEYS)
     structure = structure_from_dict(doc["structure"])
     try:
         prior = Belief(np.asarray(doc["prior"], dtype=float))
     except Exception as exc:
         raise ConfigInvalid(f"invalid prior: {exc}") from exc
-
-    kwargs = {}
-    for key in ("horizon", "episodes", "seed"):
-        if key in doc:
-            kwargs[key] = _number(doc, key, integer=True)
-    if "convergence_tol" in doc:
-        kwargs["convergence_tol"] = _number(doc, "convergence_tol")
-    if doc.get("true_state") is not None:
-        kwargs["true_state"] = _number(doc, "true_state", integer=True)
-
-    return ScenarioConfig(
-        structure=structure,
-        prior=prior,
-        eta=_number(doc, "eta"),
-        mode=str(doc["mode"]),
-        **kwargs,
-    )
+    # an optional field is an integer unless its default is a float; null leaves a None default unset
+    optional = {f.name: _number(doc, f.name, integer=not isinstance(f.default, float)) for f in _SCENARIO_FIELDS
+                if f.default is not MISSING and f.name in doc and not (doc[f.name] is None and f.default is None)}
+    return ScenarioConfig(structure=structure, prior=prior, eta=_number(doc, "eta"), mode=str(doc["mode"]), **optional)
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "structure": structure_to_dict(config.structure),
-        "prior": [float(w) for w in config.prior.weights],
-        "eta": float(config.eta),
-        "mode": config.mode,
-        "horizon": config.horizon,
-        "episodes": config.episodes,
-        "seed": config.seed,
-        "convergence_tol": config.convergence_tol,
-        "true_state": config.true_state,
-    }
+    return dict({f.name: getattr(config, f.name) for f in _SCENARIO_FIELDS},
+                structure=structure_to_dict(config.structure),
+                prior=[float(w) for w in config.prior.weights], eta=float(config.eta))
 
 
 def to_json(doc, indent=2) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import _row_products, quote_rows
 from .errors import ConfigInvalid, InvalidBelief, NoConsistentPartition, PreconditionFailed
-from .model import PROB_SUM_TOL, Belief, SignalStructure, _eta_value, _normalized_rows
+from .model import Belief, SignalStructure, _eta_value, _normalized_rows, _rows_are_beliefs
 
 __all__ = [
     "PRIVATE",
@@ -227,11 +227,11 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     revealed signal: update k steps every row, in episode order, on its
     k + 1-th signal, or past its last one on signal 0 into columns it never
     reads (a positive likelihood row keeps a belief valid).  Chunks of
-    ``_CHUNK`` updates step unchecked in one buffer and pass
-    ``_normalized_rows``'s test as a whole, or step again through it, so an
-    error names the belief the update loop raises on.  Each row is then
-    spread over its periods in place, a noise period repeating the belief
-    before it, and the prices follow from the beliefs in one product.
+    ``_CHUNK`` updates step unchecked in one buffer and pass ``_rows_are_beliefs``
+    as a whole, or step again through ``_normalized_rows``, so an error names
+    the belief the update loop raises on.  Each row is then spread over its
+    periods in place, a noise period repeating the belief before it, and the
+    prices follow from the beliefs in one product.
     :class:`ConfigInvalid` names a run too large to allocate.
     """
     structure, e = config.structure, _eta_value(config.eta)
@@ -309,8 +309,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
                 for j in range(c):
                     np.add.reduce(np.multiply(step[j], like[j], out=step[j + 1]), axis=1, out=total[j])
                     np.divide(step[j + 1], total[j, :, None], out=step[j + 1])
-            if not (0.0 < total[:c].min() and total[:c].max() < np.inf and w.min() >= 0.0
-                    and np.abs(w.sum(axis=2) - 1.0).max() <= PROB_SUM_TOL):
+            if not _rows_are_beliefs(total[:c], w):
                 for j in range(c):
                     step[j + 1] = _normalized_rows(step[j] * like[j])
             beliefs[:, k + 1:k + c + 1] = w.transpose(1, 0, 2)

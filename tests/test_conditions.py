@@ -1,7 +1,9 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from scipy.linalg import null_space
 
 import market_learn
 import market_learn.conditions as conditions
+from market_learn.cli import main
 from market_learn.conditions import (
     FULL_SUPPORT_FLOOR,
     NULLSPACE_RCOND,
@@ -347,6 +350,33 @@ def test_cascade_decision_matches_the_lp_oracle_on_rank_deficient_tables():
             dims.add(result.basis_dimension)
             with_beliefs += bool(result.beliefs)
     assert {2, 3, 4} <= dims and with_beliefs > 0
+
+
+def test_vertex_search_over_its_subset_budget_raises_before_enumerating(tmp_path):
+    # n = 20 states and rank 10 leave a null space of dimension d = 10 off the
+    # state values, so each target would enumerate C(20, 9) = 167,960 subsets
+    rng = np.random.default_rng(20)
+    values = np.arange(20.0)
+    structure = make_structure(values, _low_rank_table(rng, 20, 12, 10))
+    scenario = tmp_path / "wide.json"
+    scenario.write_text(json.dumps({
+        "structure": {"states": values.tolist(), "signals": list(structure.signals.labels),
+                      "likelihood": structure.likelihood.tolist()},
+        "prior": [0.05] * 20, "eta": 0.5, "mode": "private"}))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionFailed, match=r"n = 20, d = 10 needs 167960 subsets, over the budget of 10000"):
+        find_cascade_beliefs(structure, 0.5)
+    with pytest.raises(PreconditionFailed, match="over the budget"):
+        scan_cascades(structure)
+    assert main(["cascade-scan", "--scenario", str(scenario)]) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_vertex_search_within_its_subset_budget_returns():
+    # n = 14, d = 7: C(14, 6) = 3,003 subsets, under MAX_VERTEX_SUBSETS
+    rng = np.random.default_rng(14)
+    structure = make_structure(np.arange(14.0), _low_rank_table(rng, 14, 8, 7))
+    assert find_cascade_beliefs(structure, 0.5).basis_dimension == 7
 
 
 def test_cascade_checks_run_with_scipy_blocked():

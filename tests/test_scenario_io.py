@@ -1,9 +1,14 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from market_learn import presets
+from market_learn.cli import _apply_overrides, build_parser
 from market_learn.errors import ConfigInvalid, NonPositiveDensity
+from market_learn.model import Belief, SignalStructure
 from market_learn.presets import binary_symmetric
 from market_learn.scenario import (
     load_scenario,
@@ -14,7 +19,10 @@ from market_learn.scenario import (
     structure_to_dict,
     to_json,
 )
+from market_learn.simulate import ScenarioConfig
 from reference import load_structure
+
+SHIPPED_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 STRUCTURE_DOC = {
     "states": [0.0, 1.0],
@@ -59,6 +67,27 @@ def test_structure_invalid_probabilities_rejected():
         structure_from_dict(doc)
 
 
+# per ScenarioConfig field a value other than both SCENARIO_DOC's and the default
+NON_DEFAULT = {
+    "structure": binary_symmetric(0.7),
+    "prior": Belief(np.array([0.3, 0.7])),
+    "eta": 0.25,
+    "mode": "public",
+    "horizon": 37,
+    "episodes": 3,
+    "seed": 9,
+    "convergence_tol": 0.05,
+    "true_state": 1,
+}
+
+
+def _plain(value):
+    """A field value in a form that compares with ==."""
+    if isinstance(value, SignalStructure):
+        return structure_to_dict(value)
+    return value.weights.tolist() if isinstance(value, Belief) else value
+
+
 def test_scenario_round_trip_through_files(tmp_path):
     config = scenario_from_dict(SCENARIO_DOC)
     path = tmp_path / "scenario.json"
@@ -69,6 +98,44 @@ def test_scenario_round_trip_through_files(tmp_path):
     path2 = tmp_path / "scenario2.json"
     save_scenario(reloaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # the ScenarioConfig fields are the one scenario schema: every field
+    # survives a save and a load, and a new field needs a NON_DEFAULT entry
+    names = [f.name for f in fields(ScenarioConfig)]
+    assert sorted(NON_DEFAULT) == sorted(names)
+    for name in names:
+        changed = config.with_overrides(**{name: NON_DEFAULT[name]})
+        save_scenario(changed, path)
+        assert sorted(json.loads(path.read_text())) == sorted(names)
+        reloaded = load_scenario(path)
+        assert _plain(getattr(reloaded, name)) != _plain(getattr(config, name)), name
+        for f in names:
+            assert _plain(getattr(reloaded, f)) == _plain(getattr(changed, f)), (name, f)
+            assert type(getattr(reloaded, f)) is type(getattr(changed, f)), (name, f)
+
+
+def test_a_flag_named_after_a_field_overrides_it():
+    flags = {"episodes": 3, "horizon": 37, "eta": 0.25, "mode": "public", "seed": 9}
+    argv = ["simulate", "--scenario", "unused.json"]
+    for name, value in flags.items():
+        argv += [f"--{name}", str(value)]
+    base = scenario_from_dict(SCENARIO_DOC)
+    config = _apply_overrides(base, build_parser().parse_args(argv))
+    for f in fields(ScenarioConfig):
+        expected = flags.get(f.name, getattr(base, f.name))
+        assert _plain(getattr(config, f.name)) == _plain(expected), f.name
+
+
+@pytest.mark.parametrize("name", ["binary_symmetric", "three_state_informative", "four_state_cascade"])
+def test_shipped_scenario_holds_its_presets_structure(name):
+    # the CLI and the benchmark read these files while most tests build the
+    # presets; binary_symmetric(0.8) builds 1.0 - 0.8 = 0.19999999999999996
+    # where the file says 0.2 (5.6e-17 apart), so the likelihood is compared
+    # within 1e-15 and not exactly
+    loaded = load_scenario(SHIPPED_SCENARIOS / f"{name}.json").structure
+    preset = getattr(presets, name)()
+    assert loaded.states.values.tolist() == preset.states.values.tolist()
+    assert loaded.signals.labels == preset.signals.labels
+    np.testing.assert_allclose(loaded.likelihood, preset.likelihood, rtol=0, atol=1e-15)
 
 
 def test_scenario_defaults_applied():
