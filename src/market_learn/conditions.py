@@ -54,8 +54,8 @@ NULLSPACE_RCOND = 1e-10
 # classifying numerically obtained cascade beliefs.
 FULL_SUPPORT_FLOOR = 1e-9
 
-# Most (d - 1)-subsets of the states find_cascade_beliefs enumerates per target, one small SVD each: at
-# about 64 us per subset (n = 14, d = 7: 3,003 subsets in 191 ms, 2 CPUs) a target stays under a second.
+# Most (d - 1)-subsets of the states one cascade check enumerates over all its targets, one small SVD each: at
+# about 64 us per subset (n = 14, d = 7: 3,003 subsets in 191 ms, 2 CPUs) a call stays under a second.
 MAX_VERTEX_SUBSETS = 10_000
 
 
@@ -236,7 +236,8 @@ def find_cascade_beliefs(
     the mean of these vertices, which has full support exactly when some
     point of the polytope has.  At d = 1 the only vertex is K itself scaled
     onto the simplex; the cost grows as C(n, d - 1) small SVDs, and more
-    than ``MAX_VERTEX_SUBSETS`` of them raise :class:`PreconditionFailed`.
+    than ``MAX_VERTEX_SUBSETS`` of them, summed over all the targets of
+    :func:`scan_cascades` and :func:`azc_audit`, raise before any is solved.
 
     The representative is re-verified with :func:`is_cascade_belief` at the
     same ``tol``; one touching the simplex boundary (any coordinate at or
@@ -247,16 +248,29 @@ def find_cascade_beliefs(
     low, high = structure.states.values[[0, -1]].tolist()
     if not (low <= c <= high):
         raise OutOfHull(f"target expectation {c} outside [{low}, {high}]")
+    return _probe(structure, [c], tol)[0]
 
-    kernel = _null_space(_cascade_matrix(structure, c))
+
+def _probe(structure: SignalStructure, targets: list, tol: float) -> list:
+    """:func:`find_cascade_beliefs` at each target.  Every null space is
+    solved first, and their vertex searches, C(n, d - 1) subsets each, must
+    fit ``MAX_VERTEX_SUBSETS`` together, or :class:`PreconditionFailed`
+    names n, d and the count before any subset is enumerated."""
+    kernels = [_null_space(_cascade_matrix(structure, c)) for c in targets]
+    n, dims = structure.n_states, [k.shape[1] for k in kernels if k.shape[1]]
+    subsets = sum(math.comb(n, d - 1) for d in dims)
+    if subsets > MAX_VERTEX_SUBSETS:
+        where = f"d = {dims[0]}" if len(dims) == 1 else f"{len(dims)} targets of d up to {max(dims)}"
+        raise PreconditionFailed(f"cascade vertex search at n = {n}, {where} needs {subsets} subsets, "
+                                 f"over the budget of {MAX_VERTEX_SUBSETS}")
+    return [_cascade_beliefs(structure, c, kernel, tol) for c, kernel in zip(targets, kernels)]
+
+
+def _cascade_beliefs(structure: SignalStructure, c: float, kernel: np.ndarray, tol: float) -> CascadeBeliefSet:
+    """:func:`find_cascade_beliefs` at ``c`` from its null-space basis ``kernel``."""
     n, dim = kernel.shape
     if dim == 0:
         return CascadeBeliefSet(target_expectation=float(c))
-    subsets = math.comb(n, dim - 1)
-    if subsets > MAX_VERTEX_SUBSETS:
-        raise PreconditionFailed(f"cascade vertex search at n = {n}, d = {dim} needs {subsets} subsets, "
-                                 f"over the budget of {MAX_VERTEX_SUBSETS}")
-
     vertices = []
     for zeros in itertools.combinations(range(n), dim - 1):
         null = _null_space(kernel[list(zeros)])
@@ -284,12 +298,9 @@ def scan_cascades(structure: SignalStructure, tol: float = 1e-9) -> list[Cascade
     """Probe every state value and every gap midpoint, the targets of
     :func:`_audit_targets` at ``delta = 0``, and keep each target whose
     cascade system has a nontrivial solution space."""
-    found = []
-    for c in _audit_targets(structure.states.values, 0.0):
-        result = find_cascade_beliefs(structure, c, tol=tol)
-        if result.basis_dimension > 0:
-            found.append(result)
-    return found
+    _check_tol(tol)
+    return [result for result in _probe(structure, _audit_targets(structure.states.values, 0.0), tol)
+            if result.basis_dimension > 0]
 
 
 def _entropy(weights: np.ndarray) -> float:
@@ -359,8 +370,8 @@ def azc_audit(
     values = structure.states.values
     eligible = [
         belief
-        for c in _audit_targets(values, delta)
-        for belief in find_cascade_beliefs(structure, c, tol=movement_tol).beliefs
+        for result in _probe(structure, _audit_targets(values, delta), movement_tol)
+        for belief in result.beliefs
         if np.abs(expectation(structure.states, belief) - values).max() > delta
     ]
     if not eligible:

@@ -4,15 +4,16 @@ The one-step checks enumerate the three-action space in full, so their
 tolerances cover floating-point error only; nothing here is sampled.  The
 long-horizon support check is the exception: it is an explicitly
 statistical surrogate and reports its thresholds alongside the result.  The
-randomized suite draws its trials in blocks into plain arrays and checks
-each block's trials of one shape at once on
-:func:`~market_learn.engine.quote_rows`, which takes per-row structures and
+randomized suite makes only generator calls per trial; per block and
+(states, signals) shape it builds the trials' arrays and checks them at once
+on :func:`~market_learn.engine.quote_rows`, which takes per-row structures and
 noise rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -60,8 +61,8 @@ ONE_STEP_DETAILS = {
 CHECKS = tuple(ONE_STEP_DETAILS)
 
 # Trials the suite draws and checks together, so that its memory does not
-# grow with the trial count.
-SUITE_BLOCK = 256
+# grow with the trial count; the CLI default of 1,000 trials is one block.
+SUITE_BLOCK = 1024
 
 # :func:`check_limit_support_3state` needs this share of long runs to end
 # with every belief coordinate within ``SUPPORT_SLACK`` of {0, 1}.
@@ -215,32 +216,39 @@ def random_structure(rng: np.random.Generator) -> SignalStructure:
     """Random strictly-positive structure with 2-4 states and 2-5 signals:
     flat-Dirichlet rows floored at ``RANDOM_FLOOR`` and renormalized, over a
     random value grid, with signals labelled s1, s2, ..."""
-    table = _draw_table(rng)
-    labels = tuple(f"s{j + 1}" for j in range(table.shape[1]))
-    return SignalStructure(StateSpace(_draw_values(rng, len(table))), SignalSpace(labels), table)
+    cells, start, gaps = _draw_structure(rng)
+    values, table = _structure_arrays(cells[None], np.array([start]), gaps[None])
+    labels = tuple(f"s{j + 1}" for j in range(cells.shape[1]))
+    return SignalStructure(StateSpace(values[0]), SignalSpace(labels), table[0])
 
 
 def random_belief(rng: np.random.Generator, n: int) -> Belief:
-    return Belief.from_unnormalized(_draw_belief(rng, n))
+    return Belief.from_unnormalized(_floored_dirichlet(rng.standard_exponential(n)))
 
 
-def _draw_table(rng: np.random.Generator) -> np.ndarray:
-    """The likelihood table of :func:`random_structure` as a plain array."""
+def _draw_structure(rng: np.random.Generator) -> tuple:
+    """The generator calls of :func:`random_structure`: n x m standard exponentials for the table, then the start
+    and the n - 1 gaps of the value grid."""
     n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
-    rows = np.maximum(rng.dirichlet(np.ones(m), size=n), RANDOM_FLOOR)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows
+    cells = rng.standard_exponential(n * m).reshape(n, m)
+    return cells, rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.2, size=n - 1)
 
 
-def _draw_values(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A random strictly increasing grid of ``n`` state values."""
-    start, gaps = float(rng.uniform(-1.0, 1.0)), rng.uniform(0.3, 1.2, size=n - 1)
-    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+def _floored_dirichlet(x: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet rows (the last axis) from standard exponentials ``x``,
+    floored at ``RANDOM_FLOOR``.  ``Generator.dirichlet(np.ones(k))`` draws
+    gamma(1) variates, which are standard exponentials, and multiplies each
+    row by 1 / its running sum, so this is that draw bit for bit."""
+    return np.maximum(x * (1 / x.cumsum(-1)[..., -1:]), RANDOM_FLOOR)
 
 
-def _draw_belief(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The unnormalized weights of :func:`random_belief`."""
-    return np.maximum(rng.dirichlet(np.ones(n)), RANDOM_FLOOR)
+def _structure_arrays(cells: np.ndarray, start: np.ndarray, gaps: np.ndarray) -> tuple:
+    """The stacked value grids and tables of stacked :func:`_draw_structure`
+    draws: each start, then it plus the running sums of its gaps; the
+    floored flat-Dirichlet rows of each table, renormalized."""
+    rows = _floored_dirichlet(cells)
+    grids = np.concatenate([np.zeros((len(start), 1)), gaps.cumsum(axis=1)], axis=1)
+    return start[:, None] + grids, rows / rows.sum(axis=-1, keepdims=True)
 
 
 def _fold_worst(worst: tuple, deviations: np.ndarray, first: int) -> tuple:
@@ -263,29 +271,31 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
     and the first such trial is the worst.  Each trial draws, in this order,
     the structure and the noise rate when they are not given, a full-support
     belief and a true state.  Trials are drawn ``SUITE_BLOCK`` at a time and
-    each block is checked in one kernel call per (states, signals) shape."""
-    if trials < 1:
-        raise PreconditionFailed(f"the suite needs at least one trial, got {trials}")
-    if seed < 0:
-        raise PreconditionFailed(f"seed must be nonnegative, got {seed}")
+    each block is checked in one kernel call per (states, signals) shape; a
+    given structure's table and values are shared by all its rows."""
+    if not isinstance(trials, Integral) or trials < 1:
+        raise PreconditionFailed(f"the suite needs a whole number of trials, at least one, got {trials!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise PreconditionFailed(f"seed must be a nonnegative integer, got {seed!r}")
     rng, eta = np.random.default_rng(seed), None if eta is None else _eta_value(eta)
     worst = {name: (0.0, None) for name in CHECKS}
 
     for first in range(0, trials, SUITE_BLOCK):
         last, groups = min(first + SUITE_BLOCK, trials), {}
         for trial in range(first, last):
-            table = structure.likelihood if structure is not None else _draw_table(rng)
-            values = structure.states.values if structure is not None else _draw_values(rng, len(table))
-            e = eta if eta is not None else _eta_value(rng.uniform(0.05, 0.95))
-            raw = _draw_belief(rng, len(values))
-            true_state = int(rng.integers(0, len(values)))
-            groups.setdefault(table.shape, []).append((trial - first, values, table, e, raw, true_state))
+            drawn = _draw_structure(rng) if structure is None else ()
+            e = rng.uniform(0.05, 0.95) if eta is None else eta
+            shape = (drawn[0] if drawn else structure.likelihood).shape
+            cells = rng.standard_exponential(shape[0])
+            groups.setdefault(shape, []).append((trial - first, e, cells, rng.integers(0, shape[0])) + drawn)
         deviations = np.zeros((len(CHECKS), last - first))
         for group in groups.values():
-            at, values, table, e, raw, true_state = map(np.array, zip(*group))
+            at, e, cells, true_state, *drawn = map(np.array, zip(*group))
+            values, table = _structure_arrays(*drawn) if drawn else (structure.states.values, structure.likelihood)
             _check_values(values)
             _check_tables(table)
-            rows = _one_step_rows(_normalized_rows(raw), values, table, e if eta is None else eta, true_state)
+            w = _normalized_rows(_floored_dirichlet(cells))
+            rows = _one_step_rows(w, values, table, e if eta is None else eta, true_state)
             deviations[:, at] = [rows[name] for name in CHECKS]
         for name, block in zip(CHECKS, deviations):
             worst[name] = _fold_worst(worst[name], block, first)

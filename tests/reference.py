@@ -8,10 +8,12 @@ bit.  Beside it sit Bayes on one signal and on a set of signals, the action
 likelihood of a partition class, the public update on an action, the scalar
 one-step identities the martingale suite batches, the Monte Carlo summary
 as a loop over episodes, an episode's draws through ``Generator.choice``,
-the public kernel's per-update loop, a point-mass belief, and loading a
-bare structure file; two test-only helpers, the crossing signals of a state
-pair and random strict-MLRP structures; and the linear program that is the
-oracle for the cascade-belief decision.  Nothing in ``market_learn`` calls
+the suite's random tables, value grids and beliefs one draw at a time
+through ``Generator.dirichlet``, the public kernel's per-update loop, a
+point-mass belief, and loading a bare structure file; two test-only
+helpers, the crossing signals of a state pair and random strict-MLRP
+structures; and the linear program that is the oracle for the
+cascade-belief decision.  Nothing in ``market_learn`` calls
 any of them; the tests do.
 """
 
@@ -39,7 +41,7 @@ from market_learn.model import (
 )
 from market_learn.scenario import _load_json, structure_from_dict
 from market_learn.simulate import MonteCarloSummary, StateBreakdown
-from market_learn.verify import ONE_STEP_TOL, _draw_values, _report
+from market_learn.verify import ONE_STEP_TOL, RANDOM_FLOOR, _report
 
 
 class EmptySignalSet(MarketLearnError):
@@ -347,6 +349,28 @@ def draw_episode(config, episode_index: int):
     return true_state, informative, signals, rng.integers(0, 3, size=t)
 
 
+def draw_table(rng: np.random.Generator) -> np.ndarray:
+    """The likelihood table of ``verify.random_structure`` drawn with
+    ``Generator.dirichlet``: the oracle for ``verify._tables``."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    rows = np.maximum(rng.dirichlet(np.ones(m), size=n), RANDOM_FLOOR)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def draw_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random strictly increasing grid of ``n`` state values, one draw at a
+    time: the oracle for ``verify._value_grids``."""
+    start, gaps = float(rng.uniform(-1.0, 1.0)), rng.uniform(0.3, 1.2, size=n - 1)
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def draw_belief(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The unnormalized weights of ``verify.random_belief`` drawn with
+    ``Generator.dirichlet``: the oracle for ``verify._floored_dirichlet``."""
+    return np.maximum(rng.dirichlet(np.ones(n)), RANDOM_FLOOR)
+
+
 def public_update_loop(prior: np.ndarray, likelihood: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """The public kernel's update loop with a check per update: row r of
     the result holds ``prior[r]`` and then its belief after each of
@@ -401,7 +425,7 @@ def random_mlrp_structure(rng: np.random.Generator) -> SignalStructure:
     rows = np.exp(np.outer(theta, x))
     rows /= rows.sum(axis=1, keepdims=True)
     labels = tuple(f"s{j + 1}" for j in range(m))
-    return SignalStructure(StateSpace(_draw_values(rng, n)), SignalSpace(labels), rows)
+    return SignalStructure(StateSpace(draw_values(rng, n)), SignalSpace(labels), rows)
 
 
 def maxmin_support_lp(mat: np.ndarray):

@@ -379,6 +379,33 @@ def test_vertex_search_within_its_subset_budget_returns():
     assert find_cascade_beliefs(structure, 0.5).basis_dimension == 7
 
 
+def test_scans_hold_the_subset_budget_over_all_their_targets():
+    # each target of this table is under the budget (3,003 subsets at d = 7), but the 27 probes of a
+    # scan need far more together; both checkers raise after the null spaces, before any enumeration
+    rng = np.random.default_rng(14)
+    structure = make_structure(np.arange(14.0), _low_rank_table(rng, 14, 8, 7))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionFailed, match=r"n = 14, 27 targets of d up to \d+ needs \d+ subsets, over the"):
+        scan_cascades(structure)
+    with pytest.raises(PreconditionFailed, match="over the budget"):
+        azc_audit(structure, delta=0.1)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("check", [scan_cascades, lambda s: azc_audit(s, delta=0.1)])
+def test_scans_solve_each_target_null_space_once(monkeypatch, check):
+    structure, solved = _rank_two_four_state(), []
+    cascade_matrix = conditions._cascade_matrix
+
+    def counting(structure, c):
+        solved.append(c)
+        return cascade_matrix(structure, c)
+
+    monkeypatch.setattr(conditions, "_cascade_matrix", counting)
+    check(structure)
+    assert len(solved) == len(set(solved)) > 0
+
+
 def test_cascade_checks_run_with_scipy_blocked():
     # the cascade decision at every null-space dimension is numpy only
     src = Path(market_learn.__file__).resolve().parents[1]

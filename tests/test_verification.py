@@ -216,6 +216,30 @@ def test_random_belief_full_support():
         assert belief.weights.min() >= 5e-4
 
 
+def test_random_structures_are_the_dirichlet_draws_bit_for_bit():
+    # the exponential draws scaled by 1 / their running sum are Generator.dirichlet at alpha = 1; every
+    # (states, signals) shape appears, and both generators end in the same state
+    shapes = set()
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        structure = random_structure(ours)
+        table = reference.draw_table(theirs)
+        values = reference.draw_values(theirs, len(table))
+        assert np.array_equal(structure.likelihood, table) and np.array_equal(structure.states.values, values)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        shapes.add(table.shape)
+    assert shapes == set(product(range(2, 5), range(2, 6)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_beliefs_are_the_dirichlet_draws_bit_for_bit(n):
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = Belief.from_unnormalized(reference.draw_belief(theirs, n))
+        assert np.array_equal(random_belief(ours, n).weights, want.weights)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_random_mlrp_structure_has_strict_mlrp_and_pi():
     rng = np.random.default_rng(67)
     for _ in range(50):
@@ -243,6 +267,13 @@ def test_martingale_suite_rejects_empty_runs(trials):
 def test_martingale_suite_rejects_a_negative_seed():
     with pytest.raises(PreconditionFailed, match="seed"):
         run_martingale_suite(trials=5, seed=-1)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"trials": 2.5}, "trials"), ({"seed": 1.5}, "seed"),
+                                          ({"trials": "10"}, "trials"), ({"seed": None}, "seed")])
+def test_martingale_suite_rejects_a_count_or_seed_that_is_not_an_integer(kwargs, name):
+    with pytest.raises(PreconditionFailed, match=name):
+        run_martingale_suite(**kwargs)
 
 
 def reference_suite(trials, seed, structure, eta):
@@ -293,6 +324,55 @@ def test_blocked_suite_is_the_running_maximum_of_the_reference(i, name, eta):
     # counts around the block size rotate so that each pairs with each rate
     seed, trials = (0, 1, 7)[i % 3], SUITE_COUNTS[(i + i // 4) % 4]
     assert_suite_matches_reference(trials, seed, SUITE_STRUCTURES[name], eta)
+
+
+def expected_kernel_calls(trials, seed, structure, eta):
+    """The arguments of each kernel call of the suite, drawn one trial at a
+    time with the ``Generator.dirichlet`` oracles: per block, one call per
+    (states, signals) shape in order of first appearance, its trials stacked
+    in trial order."""
+    rng, calls = np.random.default_rng(seed), []
+    for first in range(0, trials, SUITE_BLOCK):
+        groups = {}
+        for _ in range(first, min(first + SUITE_BLOCK, trials)):
+            table = structure.likelihood if structure is not None else reference.draw_table(rng)
+            values = structure.states.values if structure is not None else reference.draw_values(rng, len(table))
+            e = eta if eta is not None else float(rng.uniform(0.05, 0.95))
+            raw = reference.draw_belief(rng, len(values))
+            groups.setdefault(table.shape, []).append((values, table, e, raw, int(rng.integers(0, len(values)))))
+        for group in groups.values():
+            values, table, e, raw, true_state = map(np.array, zip(*group))
+            calls.append((np.stack([r / r.sum() for r in raw]), values, table, e, true_state))
+    return calls
+
+
+@pytest.mark.parametrize("trials, seed, structure, eta", [
+    (1000, 0, None, None),
+    (SUITE_BLOCK + 5, 3, None, 0.3),
+    (2 * SUITE_BLOCK + 1, 7, three_state_informative(), None),
+    (40, 11, four_state_cascade(), 0.5),
+])
+def test_suite_draws_are_the_dirichlet_draws_bit_for_bit(monkeypatch, trials, seed, structure, eta):
+    calls, kernel = [], verify._one_step_rows
+
+    def recording(w, values, table, e, true_state):
+        calls.append((w, values, table, e, true_state))
+        return kernel(w, values, table, e, true_state)
+
+    monkeypatch.setattr(verify, "_one_step_rows", recording)
+    run_martingale_suite(trials=trials, seed=seed, structure=structure, eta=eta)
+    want = expected_kernel_calls(trials, seed, structure, eta)
+    assert len(calls) == len(want)
+    for got, expected in zip(calls, want):
+        w, values, table, e, true_state = got
+        assert np.array_equal(w, expected[0]) and np.array_equal(true_state, expected[4])
+        if structure is None:
+            assert np.array_equal(values, expected[1]) and np.array_equal(table, expected[2])
+        else:  # a given structure's arrays are shared, not stacked per trial
+            assert values is structure.states.values and table is structure.likelihood
+        assert e == eta if eta is not None else np.array_equal(e, expected[3])
+    if trials == 1000:  # the CLI default is one block: one kernel call per shape
+        assert len(calls) == 12
 
 
 def test_one_step_reports_match_the_scalar_reference():
