@@ -206,10 +206,12 @@ def _cmd_verify(args, config) -> int:
     return 2 if hard_failure else 0
 
 
+_PARSER = build_parser()  # parse_args leaves a parser unchanged, so main builds it once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; report those as validation errors
         return 0 if exc.code == 0 else 1

@@ -119,8 +119,6 @@ def quote_rows(w: np.ndarray, structure, e):
             cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
             _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
                          f"{action} quote deviates from the conditional expectation of its trade", w)
-            _raise_where((size == 0) & (np.abs(q - exp_val) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(exp_val))),
-                         NoConsistentPartition, f"empty {action} side must quote the expectation", w)
             members = np.zeros((rows, m), dtype=bool)
             members[r, order] = taken
             sides.append((q, members, like))

@@ -208,24 +208,29 @@ def _divided_rows(raw: np.ndarray) -> np.ndarray:
     return raw / total[:, None]
 
 
-def _rows_are_beliefs(total: np.ndarray, w: np.ndarray) -> bool:
-    """The one test of a batch of new beliefs: every row sum in ``total`` positive and finite, every weight of ``w``
-    nonnegative and every row of ``w`` (its last axis) summing to 1 within ``PROB_SUM_TOL``, with NaN failing it."""
-    return bool(0.0 < total.min() and total.max() < np.inf and w.min() >= 0.0
-                and np.abs(w.sum(axis=-1) - 1.0).max() <= PROB_SUM_TOL)
-
-
 def _normalized_rows(raw: np.ndarray) -> np.ndarray:
-    """Each row of ``raw`` divided by its sum and checked as a belief: the
-    one normalise-and-check of :class:`Belief` and of the loops that carry
-    plain weight arrays.  :class:`InvalidBelief` names the first bad row.
-    A batch that fails :func:`_rows_are_beliefs` reruns the checks per row."""
-    with np.errstate(all="ignore"):
-        total = raw.sum(axis=1)
-        w = raw / total[:, None]
-        if _rows_are_beliefs(total, w):
-            return w
+    """Each row of ``raw`` divided by its sum and checked as a belief, as
+    :meth:`Belief.from_unnormalized` does for one row, for the loops that
+    carry plain weight arrays.  :class:`InvalidBelief` names the first bad row."""
     return _checked_rows(_divided_rows(raw))
+
+
+def _stepped_rows(w: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The beliefs ``w`` updated by Bayes rule on ``like[0], like[1], ...`` in turn: ``out[j]`` is each row of ``w``
+    after update ``j``.  The batch steps unchecked and passes one test as a whole (row sums positive and finite,
+    weights nonnegative, beliefs summing to 1 within ``PROB_SUM_TOL``, NaN failing), or steps again through
+    :func:`_normalized_rows`, so an error names the belief that a one-update loop raises on."""
+    out, total = np.empty(like.shape[:1] + w.shape), np.empty(like.shape[:2])
+    with np.errstate(all="ignore"):
+        for j, before in enumerate([w, *out[:-1]]):
+            np.add.reduce(np.multiply(before, like[j], out=out[j]), axis=1, out=total[j])
+            np.divide(out[j], total[j, :, None], out=out[j])
+        if (0.0 < total.min() and total.max() < np.inf and out.min() >= 0.0
+                and np.abs(out.sum(axis=-1) - 1.0).max() <= PROB_SUM_TOL):
+            return out
+    for j, before in enumerate([w, *out[:-1]]):
+        out[j] = _normalized_rows(before * like[j])
+    return out
 
 
 def _eta_value(eta) -> float:

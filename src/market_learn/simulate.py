@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import _row_products, quote_rows
 from .errors import ConfigInvalid, InvalidBelief, NoConsistentPartition, PreconditionFailed
-from .model import Belief, SignalStructure, _eta_value, _normalized_rows, _rows_are_beliefs
+from .model import Belief, SignalStructure, _eta_value, _stepped_rows
 
 __all__ = [
     "PRIVATE",
@@ -207,7 +207,8 @@ def _draw_codes(config: ScenarioConfig, episodes, code: np.ndarray) -> np.ndarra
 
 def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     """The episodes ``episodes`` of a run in market mode ``mode``, stepped
-    together as the rows of one weight array.
+    together as the rows of one weight array.  Both modes make their Bayes
+    updates through ``_stepped_rows`` and differ only in what they update on.
 
     Private mode: each period a noise trader acts uniformly or an informed
     one on its signal's partition class, and the market maker updates on
@@ -224,14 +225,12 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     Public mode: an informed period reveals the signal to everyone, the
     belief updates by Bayes rule and the price is the new expectation; a
     noise period leaves both untouched.  So the kernel steps once per
-    revealed signal: update k steps every row, in episode order, on its
-    k + 1-th signal, or past its last one on signal 0 into columns it never
-    reads (a positive likelihood row keeps a belief valid).  Chunks of
-    ``_CHUNK`` updates step unchecked in one buffer and pass ``_rows_are_beliefs``
-    as a whole, or step again through ``_normalized_rows``, so an error names
-    the belief the update loop raises on.  Each row is then spread over its
-    periods in place, a noise period repeating the belief before it, and the
-    prices follow from the beliefs in one product.
+    revealed signal, ``_CHUNK`` updates per stepper call: update k steps
+    every row, in episode order, on its k + 1-th signal, or past its last
+    one on signal 0 into columns it never reads (a positive likelihood row
+    keeps a belief valid).  Each row is then spread over its periods in
+    place, a noise period repeating the belief before it, and the prices
+    follow from the beliefs in one product.
     :class:`ConfigInvalid` names a run too large to allocate.
     """
     structure, e = config.structure, _eta_value(config.eta)
@@ -268,12 +267,9 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
             # per row the action, in model.ACTIONS order, of each signal and then of each noise code
             act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
             action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
-            spec = np.empty((k + 1, rows.size, n))  # spec[j]: each row's belief j periods on, if its partition holds
-            spec[0] = beliefs[active, at]
-            try:
-                for j in range(k):
-                    spec[j + 1] = _normalized_rows(spec[j] * like[rows, action[:, j]])
-                check = quote_rows(spec[1:].reshape(-1, n), structure, e)
+            try:  # stepped[j]: each row's belief j + 1 periods on, if its partition holds
+                stepped = _stepped_rows(beliefs[active, at], like[rows, action.T])
+                check = quote_rows(stepped.reshape(-1, n), structure, e)
             except (InvalidBelief, NoConsistentPartition):
                 if careful:  # a one-period block steps only beliefs the period loop reaches
                     raise
@@ -291,7 +287,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
             taken = np.arange(k) < done[:, None]
             written = np.broadcast_to(active[:, None], taken.shape)[taken], span[taken] + 1
             prices[written] = np.where(last >= 0, hit[rows[:, None], last], prices[active, at][:, None])[taken]
-            beliefs[written] = spec[1:].transpose(1, 0, 2)[taken]
+            beliefs[written] = stepped.transpose(1, 0, 2)[taken]
             t[active] = at + done
             quotes = [x[done - 1, rows] for x in check]
         for r in range(size):  # a row that stopped early keeps its last price and belief
@@ -301,18 +297,9 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
         counts = informed.sum(axis=1)
         signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
         signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
-        step, total = np.empty((_CHUNK + 1, size, n)), np.empty((_CHUNK, size))  # step[j]: beliefs j updates on
         for k in range(0, signals.shape[1], _CHUNK):
-            like, step[0] = structure.likelihood.T[signals[:, k:k + _CHUNK].T], beliefs[:, k]
-            c, w = len(like), step[1:len(like) + 1]
-            with np.errstate(all="ignore"):
-                for j in range(c):
-                    np.add.reduce(np.multiply(step[j], like[j], out=step[j + 1]), axis=1, out=total[j])
-                    np.divide(step[j + 1], total[j, :, None], out=step[j + 1])
-            if not _rows_are_beliefs(total[:c], w):
-                for j in range(c):
-                    step[j + 1] = _normalized_rows(step[j] * like[j])
-            beliefs[:, k + 1:k + c + 1] = w.transpose(1, 0, 2)
+            like = structure.likelihood.T[signals[:, k:k + _CHUNK].T]
+            beliefs[:, k + 1:k + len(like) + 1] = _stepped_rows(beliefs[:, k], like).transpose(1, 0, 2)
         filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
         for r in range(size):
             np.cumsum(informed[r], out=filled[1:])

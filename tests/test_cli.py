@@ -109,6 +109,18 @@ def test_passing_movement_audit_is_strict_json(capsys, binary_file):
     assert audit["min_max_movement"] is None
 
 
+def test_main_parses_with_one_parser_and_no_flag_carries_over(capsys, monkeypatch, four_state_file):
+    # main reuses the parser built at import; a flag given to one call must
+    # not reach the next call
+    import market_learn.cli as cli
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    first = run_cli(capsys, "check", "--scenario", str(four_state_file), "--azc-delta", "0.1")
+    second = run_cli(capsys, "check", "--scenario", str(four_state_file))
+    assert first[0] == second[0] == 0
+    assert "movement_audit" in json.loads(first[1])
+    assert "movement_audit" not in json.loads(second[1])
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ("check",),

@@ -261,6 +261,28 @@ def test_batch_rejects_a_belief_with_a_negative_weight(mode):
         RUN_EPISODE[mode](config, 0)
 
 
+# A table that SignalStructure rejects: at a small noise rate the buy
+# likelihood of state 0, eta / 3 - 0.05 (1 - eta), is negative.
+PRIVATE_NEGATIVE_TABLE = np.array([[1.05, -0.05], [0.2, 0.8]])
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.05, 0.1])
+def test_private_block_that_fails_its_check_raises_as_the_period_loop(monkeypatch, eta):
+    # the table is swapped in after validation, as in
+    # test_batch_rejects_a_belief_with_a_negative_weight; a block of one
+    # period is the period loop
+    config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=eta,
+                            mode="private", horizon=50, episodes=5, seed=3)
+    object.__setattr__(config.structure, "likelihood", PRIVATE_NEGATIVE_TABLE)
+    messages = []
+    for block in (simulate._BLOCK, 1):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        with pytest.raises(InvalidBelief) as raised:
+            run_episodes(config)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
 # ---------------------------------------------------------------- public mode
 
 def test_public_duplicate_state_ratio_is_invariant_each_step():
