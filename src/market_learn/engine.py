@@ -15,9 +15,9 @@ given a trade on it, so the empty prefix quotes the expectation itself.  At
 trades and the quotes sit at the extreme conditional values.
 
 :func:`quote_rows` applies the rule to every row of a weight array at once,
-with per-row structures and noise rates when asked, and also returns the
-three action likelihoods.  :func:`solve_quotes` is that kernel on a batch of
-one, returned as the value types.
+with per-row value grids, tables and noise rates when asked, and also
+returns the three action likelihoods.  :func:`solve_quotes` is that kernel
+on a batch of one, returned as the value types.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import (
     SignalStructure,
     _eta_value,
     _raise_where,
+    _row_products,
 )
 
 __all__ = [
@@ -65,17 +66,10 @@ class Quotes:
             raise NoConsistentPartition(f"bid {self.bid} above ask {self.ask}")
 
 
-def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w[r] @ x`` for every row of ``w``, ``x`` shared or stacked per row.
-    This stacked ``matmul`` rounds as the 1-D ``@`` does; ``w @ x``,
-    ``einsum`` and ``(w * x).sum(1)`` do not in many rows."""
-    return np.matmul(w[:, None, :], x)[:, 0]
-
-
-def quote_rows(w: np.ndarray, structure, e):
-    """The quote rule of this module on every row of ``w``.  ``structure``
-    is a structure or a pair ``(values, table)``, each shared or per row;
-    ``e`` is one rate in [0, 1] or one per row in (0, 1).  Returns ``(bid,
+def quote_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e):
+    """The quote rule of this module on every row of ``w``, with the state
+    ``values`` and the likelihood ``table`` each shared or per row; ``e``
+    is one rate in [0, 1] or one per row in (0, 1).  Returns ``(bid,
     ask, buy, sell, like)``: per row the quotes, the sets as signal masks,
     and the action likelihoods stacked as ``like[:, a]`` in
     :data:`~market_learn.model.ACTIONS` order.  For ``0 < e < 1`` each side
@@ -85,7 +79,6 @@ def quote_rows(w: np.ndarray, structure, e):
     that each quote is the conditional expectation of its trade, that the
     sets do not overlap and that the bid is not above the ask, and raises
     :class:`NoConsistentPartition` naming the first row that fails."""
-    values, table = structure if isinstance(structure, tuple) else (structure.states.values, structure.likelihood)
     (rows, n), m = w.shape, table.shape[-1]
     r = np.arange(rows)[:, None]
     exp_val = _row_products(w, values[..., None])[:, 0]
@@ -157,6 +150,7 @@ def solve_quotes(
         than ``BOUNDARY_BAND``, but can sit within the band of the returned
         quote, which includes it.
     """
-    bid, ask, buy, sell, _ = quote_rows(belief.weights[None], structure, _eta_value(eta))
+    bid, ask, buy, sell, _ = quote_rows(belief.weights[None], structure.states.values, structure.likelihood,
+                                        _eta_value(eta))
     return (Quotes(bid=float(bid[0]), ask=float(ask[0])),
             SignalPartition(structure.n_signals, buy=np.flatnonzero(buy[0]), sell=np.flatnonzero(sell[0])))

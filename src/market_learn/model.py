@@ -215,6 +215,13 @@ def _normalized_rows(raw: np.ndarray) -> np.ndarray:
     return _checked_rows(_divided_rows(raw))
 
 
+def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w[r] @ x`` for every row of ``w``, ``x`` shared or stacked per row.
+    This stacked ``matmul`` rounds as the 1-D ``@`` does; ``w @ x``,
+    ``einsum`` and ``(w * x).sum(1)`` do not in many rows."""
+    return np.matmul(w[:, None, :], x)[:, 0]
+
+
 def _stepped_rows(w: np.ndarray, like: np.ndarray) -> np.ndarray:
     """The beliefs ``w`` updated by Bayes rule on ``like[0], like[1], ...`` in turn: ``out[j]`` is each row of ``w``
     after update ``j``.  The batch steps unchecked and passes one test as a whole (row sums positive and finite,
@@ -286,7 +293,7 @@ class SignalPartition:
 
 def expectation(states: StateSpace, belief: Belief) -> float:
     """Expected asset value under the belief; always inside [w_1, w_n]."""
-    return float(states.values @ belief.weights)
+    return float(_row_products(belief.weights[None], states.values[:, None])[0, 0])
 
 
 def posterior_values(belief: Belief, structure: SignalStructure) -> np.ndarray:
@@ -295,7 +302,5 @@ def posterior_values(belief: Belief, structure: SignalStructure) -> np.ndarray:
     Positivity of the likelihood makes every denominator strictly positive
     for any valid belief.
     """
-    w = belief.weights
-    f_sig = w @ structure.likelihood
-    num = (structure.states.values * w) @ structure.likelihood
-    return num / f_sig
+    w, table = belief.weights[None], structure.likelihood
+    return (_row_products(structure.states.values * w, table) / _row_products(w, table))[0]

@@ -7,6 +7,7 @@ and nothing time- or version-dependent is embedded.
 
 from __future__ import annotations
 
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +122,11 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
 
 
 def checked_thin(thin) -> int:
-    """``thin`` as an int, checked to be at least 1, so a caller can reject a
-    bad value before it simulates anything."""
-    thin = int(thin)
-    if thin < 1:
-        raise PreconditionFailed(f"thin must be at least 1, got {thin}")
-    return thin
+    """``thin`` as an int, checked to be an integer of at least 1, so a caller
+    can reject a bad value before it simulates anything."""
+    if isinstance(thin, bool) or not isinstance(thin, Integral) or thin < 1:
+        raise PreconditionFailed(f"thin must be an integer of at least 1, got {thin!r}")
+    return int(thin)
 
 
 def emit_plots(run, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> dict:
@@ -140,6 +140,8 @@ def emit_plots(run, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> di
     if not len(run):
         raise MissingResults("no episode results to plot")
     thin = checked_thin(thin)
+    if not (0 < convergence_tol < np.inf):  # also rejects NaN
+        raise PreconditionFailed(f"convergence_tol must be finite and positive, got {convergence_tol!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -15,13 +15,14 @@ as the rows of one weight array, and :func:`run_private_episode` and
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .engine import _row_products, quote_rows
+from .engine import quote_rows
 from .errors import ConfigInvalid, InvalidBelief, NoConsistentPartition, PreconditionFailed
-from .model import Belief, SignalStructure, _eta_value, _stepped_rows
+from .model import Belief, SignalStructure, _eta_value, _row_products, _stepped_rows
 
 __all__ = [
     "PRIVATE",
@@ -66,6 +67,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in (PRIVATE, PUBLIC):
             raise ConfigInvalid(f"mode must be '{PRIVATE}' or '{PUBLIC}', got {self.mode!r}")
+        integers = [self.horizon, self.episodes, self.seed] + ([] if self.true_state is None else [self.true_state])
+        for name, value in zip(("horizon", "episodes", "seed", "true_state"), integers):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -233,9 +238,8 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     follow from the beliefs in one product.
     :class:`ConfigInvalid` names a run too large to allocate.
     """
-    structure, e = config.structure, _eta_value(config.eta)
-    values, t_max = structure.states.values, config.horizon
-    n, m = structure.likelihood.shape
+    values, table, e = config.structure.states.values, config.structure.likelihood, _eta_value(config.eta)
+    (n, m), t_max = table.shape, config.horizon
     episodes = np.array(episodes, dtype=np.intp)
     size = len(episodes)
     # per period the signal of an informed trader, else m + the noise action
@@ -252,7 +256,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
         prices = np.empty((size, t_max + 1))
         prices[:, 0] = _row_products(beliefs[:, 0], values)
         t = np.zeros(size, dtype=np.intp)  # per row its last written period
-        active, quotes = np.arange(size), quote_rows(beliefs[:, 0], structure, e)  # quotes at each active row's period
+        active, quotes = np.arange(size), quote_rows(beliefs[:, 0], values, table, e)  # each active row's quotes
         careful = 0  # periods left to step one at a time after a block raised
         while True:
             trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
@@ -269,7 +273,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
             action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
             try:  # stepped[j]: each row's belief j + 1 periods on, if its partition holds
                 stepped = _stepped_rows(beliefs[active, at], like[rows, action.T])
-                check = quote_rows(stepped.reshape(-1, n), structure, e)
+                check = quote_rows(stepped.reshape(-1, n), values, table, e)
             except (InvalidBelief, NoConsistentPartition):
                 if careful:  # a one-period block steps only beliefs the period loop reaches
                     raise
@@ -298,7 +302,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
         signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
         signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
         for k in range(0, signals.shape[1], _CHUNK):
-            like = structure.likelihood.T[signals[:, k:k + _CHUNK].T]
+            like = table.T[signals[:, k:k + _CHUNK].T]
             beliefs[:, k + 1:k + len(like) + 1] = _stepped_rows(beliefs[:, k], like).transpose(1, 0, 2)
         filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
         for r in range(size):

@@ -6,8 +6,8 @@ long-horizon support check is the exception: it is an explicitly
 statistical surrogate and reports its thresholds alongside the result.  The
 randomized suite makes only generator calls per trial; per block and
 (states, signals) shape it builds the trials' arrays and checks them at once
-on :func:`~market_learn.engine.quote_rows`, which takes per-row structures and
-noise rates.
+on :func:`~market_learn.engine.quote_rows`, which takes per-row value grids,
+tables and noise rates.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .conditions import is_pairwise_informative
-from .engine import _row_products, quote_rows
+from .engine import quote_rows
 from .errors import DegenerateBelief, PreconditionFailed
 from .model import (
     ACTIONS,
-    BUY,
-    NO_TRADE,
     Belief,
     SignalSpace,
     SignalStructure,
@@ -34,6 +32,8 @@ from .model import (
     _eta_value,
     _normalized_rows,
     _raise_where,
+    _row_products,
+    _stepped_rows,
 )
 from .simulate import PRIVATE, ScenarioConfig, run_episodes
 
@@ -129,39 +129,35 @@ def _one_step_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e, true
     r = np.arange(len(w))
     if true_state is not None:
         _raise_where(w[r, true_state] <= 0.0, DegenerateBelief, "belief places zero weight on its true state", w)
-    bid, ask, buy, sell, like = quote_rows(w, (values, table), e)
+    bid, ask, buy, sell, like = quote_rows(w, values, table, e)
     exp_val = _row_products(w, values[..., None])[:, 0]
     live = like.any(axis=2)
-    cond = np.zeros((len(w), len(ACTIONS)))
-    mixed_belief, mixed_price, mixed_lam, quote_gap, violation = np.zeros_like(w), 0.0, 0.0, 0.0, 0.0
-    for a, action in enumerate(ACTIONS):
-        like_a = like[:, a]
-        # a dead action (buy and sell at eta 0) steps to the belief itself and adds an exact 0: its probability is 0
-        stepped = _normalized_rows(w * np.where(live[:, a, None], like_a, 1.0))
-        prob = _row_products(w, like_a[:, :, None])[:, 0]
-        cond[:, a] = c = _row_products(stepped, values[..., None])[:, 0]
-        mixed_belief = mixed_belief + prob[:, None] * stepped
-        mixed_price = mixed_price + prob * c
-        if action == NO_TRADE:
-            flat = like_a.max(axis=1) - like_a.min(axis=1) <= 1e-12
-            violation = np.maximum(violation, np.where(flat, np.abs(c - exp_val), 0.0))
-        else:
-            trades, quote = (buy.any(axis=1), ask) if action == BUY else (sell.any(axis=1), bid)
-            quote_gap = np.maximum(quote_gap, np.where(trades, np.abs(c - quote), 0.0))
-            # E[w|a,H] must lie strictly beyond E[w|H] on the side of the trade
-            violation = np.maximum(violation, np.where(trades, exp_val - c if action == BUY else c - exp_val, 0.0))
-        if true_state is not None:
-            w_next = stepped[r, true_state]
-            lam_next = np.divide(1.0 - w_next, w_next, out=np.full(len(w), np.inf), where=w_next > 0)
-            mixed_lam = mixed_lam + like_a[r, true_state] * lam_next
+    # one stepper call on action-major rows names the first row it cannot normalize, else the first non-belief; a
+    # dead action (buy and sell at eta 0) steps to the belief itself and adds an exact 0: its probability is 0
+    batch_w, batch_like = np.tile(w, (3, 1)), like.transpose(1, 0, 2).reshape(3 * len(w), -1)
+    stepped = _stepped_rows(batch_w, np.where(live.T.reshape(-1, 1), batch_like, 1.0)[None])[0]
+    prob = _row_products(batch_w, batch_like[:, :, None]).reshape(3, -1)
+    cond = _row_products(stepped, np.tile(np.broadcast_to(values, w.shape), (3, 1))[:, :, None]).reshape(3, -1)
+    stepped, like = stepped.reshape(3, len(w), -1), batch_like.reshape(3, len(w), -1)  # [a, r]: row r, action a
+    mixed_belief = (prob[:, :, None] * stepped).sum(axis=0)
+    mixed_price = (prob * cond).sum(axis=0)
+    trades = np.array([buy.any(axis=1), sell.any(axis=1)])
+    quote_gap = np.max(np.where(trades, np.abs(cond[:2] - [ask, bid]), 0.0), axis=0, initial=0.0)
+    # E[w|a,H] must lie strictly beyond E[w|H] on the side of a trade, and equal it after a flat no-trade
+    flat = like[2].max(axis=1) - like[2].min(axis=1) <= 1e-12
+    beyond = [exp_val - cond[0], cond[1] - exp_val, np.abs(cond[2] - exp_val)]
+    violation = np.max(np.where([*trades, flat], beyond, 0.0), axis=0, initial=0.0)
 
     belief_gap = np.abs(mixed_belief - w)
     state_index = belief_gap.argmax(axis=1)
     rows = {"belief_martingale": belief_gap[r, state_index], "state_index": state_index,
             "price_martingale": np.maximum(np.abs(mixed_price - exp_val), quote_gap), "expectation": exp_val,
             "mixed_price": mixed_price, "quote_gap": quote_gap,
-            "price_directions": violation, "conditional": cond, "live": live}
+            "price_directions": violation, "conditional": cond.T, "live": live}
     if true_state is not None:
+        w_next = stepped[:, r, true_state]
+        lam_next = np.divide(1.0 - w_next, w_next, out=np.full(w_next.shape, np.inf), where=w_next > 0)
+        mixed_lam = (like[:, r, true_state] * lam_next).sum(axis=0)
         lam = (1.0 - w[r, true_state]) / w[r, true_state]
         rows.update({"likelihood_ratio_martingale": np.abs(mixed_lam - lam), "lambda": lam, "mixed_lambda": mixed_lam})
     return rows

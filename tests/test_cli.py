@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from market_learn.cli import build_parser, main
-from market_learn.errors import MissingResults
+from market_learn.errors import MissingResults, PreconditionFailed
 from market_learn.model import Belief
 from market_learn import plots
 from market_learn.plots import emit_plots, svg_line_chart
@@ -507,6 +507,22 @@ def test_emit_plots_polyline_counts(tmp_path):
     learned_svg = written["learned_fraction"].read_text()
     assert learned_svg.count("<polyline") == 1
     assert (tmp_path / "belief_on_truth.svg").exists()
+
+
+@pytest.mark.parametrize("thin", [2.5, "x", float("nan"), True, 0, -3])
+def test_checked_thin_rejects_a_thin_that_is_not_a_positive_integer(thin):
+    with pytest.raises(PreconditionFailed, match="thin must be an integer"):
+        plots.checked_thin(thin)
+    assert plots.checked_thin(np.int64(3)) == 3
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -0.1])
+def test_emit_plots_rejects_a_convergence_tol_that_is_not_finite_and_positive(tmp_path, tol):
+    config = ScenarioConfig(structure=binary_symmetric(0.8), prior=Belief.uniform(2), eta=0.5, mode="private",
+                            horizon=20, episodes=2, seed=1)
+    with pytest.raises(PreconditionFailed, match="convergence_tol"):
+        emit_plots(run_episodes(config), tmp_path / "plots", convergence_tol=tol)
+    assert not (tmp_path / "plots").exists()  # checked before anything is written
 
 
 def _per_point_polylines(series):

@@ -203,7 +203,7 @@ def test_quote_rows_match_quote_core_row_by_row():
         w[:4] = np.eye(n)[rng.integers(n, size=4)] + 1e-9 * rng.random((4, n))
         w[:4] /= w[:4].sum(axis=1, keepdims=True)
         for e in (eta, 0.0, 1.0):
-            bid, ask, buy, sell, like = quote_rows(w, structure, e)
+            bid, ask, buy, sell, like = quote_rows(w, structure.states.values, structure.likelihood, e)
             stacks.setdefault((structure.likelihood.shape, e if e in (0.0, 1.0) else None), []).extend(
                 (w[r], structure.states.values, structure.likelihood, e, (bid[r], ask[r], buy[r], sell[r], like[r]))
                 for r in range(len(w)))
@@ -223,7 +223,7 @@ def test_quote_rows_match_quote_core_row_by_row():
                                                   action_likelihood_vector(structure, partition, e, action))
     for (_, end_rate), rows in stacks.items():
         w, values, table, e = (np.array([row[k] for row in rows]) for k in range(4))
-        stacked = quote_rows(w, (values, table), e if end_rate is None else end_rate)
+        stacked = quote_rows(w, values, table, e if end_rate is None else end_rate)
         for r, row in enumerate(rows):
             for got, want in zip(stacked, row[4]):
                 np.testing.assert_array_equal(got[r], want)
@@ -236,7 +236,7 @@ def test_quote_rows_reject_per_row_rates_at_the_ends():
     w = np.array([[0.5, 0.5], [0.3, 0.7]])
     for e in ([0.0, 0.5], [0.5, 1.0], [0.5, np.nan]):
         with pytest.raises(InvalidBelief, match="per-row noise rate"):
-            quote_rows(w, (structure.states.values, structure.likelihood), np.array(e))
+            quote_rows(w, structure.states.values, structure.likelihood, np.array(e))
 
 
 @pytest.mark.xfail(strict=True, reason="quote band fault: the prefix scan tests a signal against the "
@@ -250,7 +250,7 @@ def test_quote_members_clear_the_band_on_stepped_beliefs():
     config = load_scenario(SHIPPED_SCENARIOS / "three_state_informative.json").with_overrides(episodes=10)
     structure = config.structure
     w = np.concatenate([result.belief_path[:result.cascade_time] for result in run_episodes(config)])
-    bid, ask, buy, sell, _ = quote_rows(w, structure, config.eta)
+    bid, ask, buy, sell, _ = quote_rows(w, structure.states.values, structure.likelihood, config.eta)
     v = ((structure.states.values * w) @ structure.likelihood) / (w @ structure.likelihood)
     assert not (buy & (v - ask[:, None] <= BOUNDARY_BAND)).any()
     assert not (sell & (bid[:, None] - v <= BOUNDARY_BAND)).any()
@@ -406,11 +406,11 @@ def test_private_blocks_step_again_period_by_period_when_a_block_raises(monkeypa
     reached = {w.tobytes() for i in range(config.episodes) for w in reference_episode(config, i)[2]}
     failed = []
 
-    def fails_off_the_path(w, structure, e):
+    def fails_off_the_path(w, values, table, e):
         off = np.array([row.tobytes() not in reached for row in w])
         failed.append(int(off.sum()))
         _raise_where(off, NoConsistentPartition, "off the period loop's path", w)
-        return quote_rows(w, structure, e)
+        return quote_rows(w, values, table, e)
 
     monkeypatch.setattr(simulate, "quote_rows", fails_off_the_path)
     for result in run_episodes(config):

@@ -16,9 +16,12 @@ from market_learn.model import (
     SignalSpace,
     SignalStructure,
     StateSpace,
+    _row_products,
     expectation,
+    posterior_values,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade
+from market_learn.verify import random_belief, random_structure
 from reference import (
     EmptySignalSet,
     action_likelihood_vector,
@@ -367,3 +370,22 @@ def test_action_update_martingale_identity_random_partitions():
             prob = float(belief.weights @ like)
             mixed += prob * update_public_belief_on_action(belief, structure, partition, eta, action).weights
         np.testing.assert_allclose(mixed, belief.weights, atol=1e-10)
+
+
+def test_scalar_values_round_as_the_kernels_row_products():
+    # expectation and posterior_values compute through _row_products, as the
+    # quote kernel and the market kernels do, so each equals its row of a
+    # stacked batch and a batch of one bit for bit
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        structure = random_structure(rng)
+        values, table = structure.states.values, structure.likelihood
+        beliefs = [random_belief(rng, structure.n_states) for _ in range(20)]
+        w = np.array([belief.weights for belief in beliefs])
+        exp_val = _row_products(w, values[:, None])[:, 0]
+        post = _row_products(values * w, table) / _row_products(w, table)
+        for r, belief in enumerate(beliefs):
+            one = belief.weights[None]
+            assert expectation(structure.states, belief) == exp_val[r] == _row_products(one, values[:, None])[0, 0]
+            np.testing.assert_array_equal(posterior_values(belief, structure), post[r])
+            np.testing.assert_array_equal(post[r], (_row_products(values * one, table) / _row_products(one, table))[0])

@@ -17,7 +17,7 @@ from market_learn.simulate import (
     run_public_episode,
     summarize_episodes,
 )
-from market_learn.verify import random_belief, random_structure
+from market_learn.verify import check_limit_support_3state, random_belief, random_structure
 from reference import bayes_posterior, draw_episode, point_mass, public_update_loop, reference_summary
 
 
@@ -66,6 +66,22 @@ def test_config_rejects_bad_inputs():
         binary_config(convergence_tol=0.0)
     with pytest.raises(ConfigInvalid):
         binary_config(prior=Belief.uniform(3), structure=binary_symmetric())
+
+
+@pytest.mark.parametrize("call, field, value", [
+    ("config", "true_state", 0.5), ("config", "true_state", False), ("config", "horizon", 10.5),
+    ("config", "horizon", float("nan")), ("config", "horizon", True), ("config", "horizon", "10"),
+    ("config", "episodes", 2.5), ("config", "seed", 1.5), ("support", "trials", 2.5), ("support", "horizon", 10.5),
+])
+def test_config_rejects_run_sizes_that_are_not_integers(call, field, value):
+    # the rule that JSON scenarios follow: a run size or a set true state is
+    # an integer, numpy's included, and not a bool
+    with pytest.raises(ConfigInvalid, match="must be an integer"):
+        if call == "config":
+            binary_config(**{field: value})
+        else:
+            check_limit_support_3state(three_state_informative(), 0.5, **{field: value})
+    binary_config(horizon=np.int64(20), episodes=np.intp(2), seed=np.uint8(3), true_state=np.int64(1))
 
 
 @pytest.mark.parametrize("mode", ["private", "public"])
@@ -214,9 +230,9 @@ def test_private_batch_matches_single_episodes_when_rows_freeze_inside_one_block
     # 40, the horizon, all fall inside the last block, which starts at 32
     solved = []
 
-    def counting(w, structure, e):
+    def counting(w, values, table, e):
         solved.append(len(w))
-        return quote_rows(w, structure, e)
+        return quote_rows(w, values, table, e)
 
     monkeypatch.setattr(simulate, "quote_rows", counting)
     config = binary_config(eta=0.3, horizon=40, seed=15)

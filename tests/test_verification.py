@@ -6,12 +6,14 @@ import pytest
 
 import market_learn.verify as verify
 from market_learn.conditions import is_mlrp, is_pairwise_informative
-from market_learn.errors import DegenerateBelief, PreconditionFailed
+from market_learn.errors import DegenerateBelief, InvalidBelief, PreconditionFailed
 from market_learn.model import (
+    ACTIONS,
     Belief,
     SignalSpace,
     SignalStructure,
     StateSpace,
+    _normalized_rows,
     expectation,
 )
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
@@ -387,6 +389,55 @@ def test_one_step_reports_match_the_scalar_reference():
         got = one_step_reports(belief, structure, eta, true_state)
         want = reference.one_step_reports(belief, structure, eta, true_state)
         assert [r.as_dict() for r in got.values()] == [r.as_dict() for r in want.values()]
+
+
+def _per_action_loop(w, like):
+    """The one-step updates as one checked update per action, in action order."""
+    live = like.any(axis=2)
+    for a in range(len(ACTIONS)):
+        _normalized_rows(w * np.where(live[:, a, None], like[:, a], 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("action", range(len(ACTIONS)))
+@pytest.mark.parametrize("poison", [
+    {(0, 0): [np.nan, 1.0]}, {(0, 0): [-1.0, 0.0]}, {(0, 0): [-1e-6, 1.0]},
+    {(0, 0): [-1e-6, 1.0], (40, 0): [-1.0, 0.0]}, {(0, 0): [np.inf, 1.0], (40, 0): [-1e-6, 1.0]},
+    {(40, 0): [-1e-6, 1.0], (0, 1): [-1e-6, 1.0]}, {(40, 0): [-1.0, 0.0], (0, 1): [np.nan, 1.0]},
+])
+def test_one_step_updates_raise_as_a_per_action_loop(monkeypatch, action, poison):
+    # the three actions' updates are one stepper call on action-major rows.
+    # Poison likelihood rows after the quote solve, keyed by (row, actions
+    # after ``action``), each that the batch has: the error is that of one
+    # checked update per action, its first row that it cannot normalize,
+    # else its first row that is not a belief, when the bad actions fail in
+    # the same way (row 40 before row 0, action before action + 1)
+    solve, step, seen, steps = verify.quote_rows, verify._stepped_rows, [], []
+
+    def poisoned(w, values, table, e):
+        *quotes, like = solve(w, values, table, e)
+        like = like.copy()
+        for (row, later), bad in poison.items():
+            if row < len(w):
+                like[row, (action + later) % len(ACTIONS)] = bad
+        seen.append((w, like))
+        return (*quotes, like)
+
+    def counted(w, like):
+        steps.append(len(w))
+        return step(w, like)
+
+    monkeypatch.setattr(verify, "quote_rows", poisoned)
+    monkeypatch.setattr(verify, "_stepped_rows", counted)
+    structure = binary_symmetric(0.8)
+    for run in (lambda: one_step_reports(Belief(np.array([0.3, 0.7])), structure, 0.5, 1),
+                lambda: run_martingale_suite(trials=100, structure=structure, eta=0.5)):
+        with pytest.raises(InvalidBelief) as batched:
+            run()
+        with pytest.raises(InvalidBelief) as looped:
+            _per_action_loop(*seen[-1])
+        assert "(belief" in str(batched.value) and str(batched.value) == str(looped.value)
+    assert steps == [3, 300]  # one stepper call per kernel call, three rows per belief
 
 
 def test_suite_fails_a_non_finite_deviation_and_names_its_first_trial(monkeypatch):
