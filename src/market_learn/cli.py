@@ -138,7 +138,7 @@ def _cmd_simulate(args, config) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = run_episodes(config)
+    results = run_episodes(config, paths=args.plots)
     summary = summarize_episodes(results, config)
 
     _write_episode_csv(results, config, out_dir / "episodes.csv")

@@ -7,7 +7,7 @@ and nothing time- or version-dependent is embedded.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,6 @@ _MAX_SERIES = 50
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, count)
 
 
 def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
@@ -73,7 +67,7 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
 
-    for tick in _ticks(y_lo + pad, y_hi - pad):
+    for tick in np.linspace(y_lo + pad, y_hi - pad, 5):
         y = py(tick)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(y)}" '
@@ -83,7 +77,7 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
             f'<text x="{_MARGIN_L - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
         )
-    for tick in _ticks(x_lo, x_hi):
+    for tick in np.linspace(x_lo, x_hi, 5):
         x = px(tick)
         parts.append(
             f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_B + 16}" text-anchor="middle" '
@@ -137,10 +131,10 @@ def emit_plots(run, out_dir, convergence_tol: float = 0.1, thin: int = 10) -> di
     to every ``thin``-th period and overlays capped at the first
     ``_MAX_SERIES`` episodes to bound file sizes.
     """
-    if not len(run):
-        raise MissingResults("no episode results to plot")
+    if not len(run) or run.price_path is None:
+        raise MissingResults("no episode paths to plot: the run is empty or kept no paths")
     thin = checked_thin(thin)
-    if not (0 < convergence_tol < np.inf):  # also rejects NaN
+    if isinstance(convergence_tol, bool) or not isinstance(convergence_tol, Real) or not (0 < convergence_tol < np.inf):
         raise PreconditionFailed(f"convergence_tol must be finite and positive, got {convergence_tol!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ as the rows of one weight array, and :func:`run_private_episode` and
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -67,10 +67,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in (PRIVATE, PUBLIC):
             raise ConfigInvalid(f"mode must be '{PRIVATE}' or '{PUBLIC}', got {self.mode!r}")
-        integers = [self.horizon, self.episodes, self.seed] + ([] if self.true_state is None else [self.true_state])
-        for name, value in zip(("horizon", "episodes", "seed", "true_state"), integers):
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+        kinds = dict(horizon=Integral, episodes=Integral, seed=Integral, eta=Real, convergence_tol=Real)
+        for name, kind in [*kinds.items()] + ([] if self.true_state is None else [("true_state", Integral)]):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigInvalid(f"{name} must be {'a number' if kind is Real else 'an integer'}, got {value!r}")
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -98,14 +99,11 @@ class EpisodeResult:
     mode: str
     true_state: int
     true_value: float
-    price_path: np.ndarray       # length horizon + 1, starts at the prior expectation
-    belief_path: np.ndarray      # shape (horizon + 1, n_states), full resolution
+    price_path: Optional[np.ndarray]   # length horizon + 1, starts at the prior expectation; None if not kept
+    belief_path: Optional[np.ndarray]  # shape (horizon + 1, n_states), full resolution; None if not kept
     cascade_time: Optional[int]  # first date with an all-no-trade partition (private mode)
+    final_price: float
     final_belief_on_truth: float
-
-    @property
-    def final_price(self) -> float:
-        return float(self.price_path[-1])
 
     def learned(self, convergence_tol: float) -> bool:
         return abs(self.final_price - self.true_value) < convergence_tol
@@ -115,24 +113,23 @@ class EpisodeResult:
 class RunResult:
     """The episodes of one run as columns: row ``k`` of each array is episode
     ``episode[k]``; ``cascade_time`` is -1 where the row never froze.  The
-    paths are the kernel's own (E, T + 1) and (E, T + 1, n) arrays.  Indexing
-    and iteration give :class:`EpisodeResult` row views of them."""
+    paths are the kernel's own (E, T + 1) and (E, T + 1, n) arrays, or None
+    when not kept; ``final_price`` (E,) and ``final_belief`` (E, n) are their
+    last columns.  Indexing and iteration give :class:`EpisodeResult` rows."""
 
     mode: str
     episode: np.ndarray
     true_state: np.ndarray
     true_value: np.ndarray
     cascade_time: np.ndarray
-    price_path: np.ndarray
-    belief_path: np.ndarray
-
-    @property
-    def final_price(self) -> np.ndarray:
-        return self.price_path[:, -1]
+    final_price: np.ndarray
+    final_belief: np.ndarray
+    price_path: Optional[np.ndarray]
+    belief_path: Optional[np.ndarray]
 
     @property
     def final_belief_on_truth(self) -> np.ndarray:
-        return self.belief_path[np.arange(len(self)), -1, self.true_state]
+        return self.final_belief[np.arange(len(self)), self.true_state]
 
     def learned(self, convergence_tol: float) -> np.ndarray:
         return np.abs(self.final_price - self.true_value) < convergence_tol
@@ -142,10 +139,11 @@ class RunResult:
 
     def __getitem__(self, k) -> EpisodeResult:
         s, ct = int(self.true_state[k]), int(self.cascade_time[k])
+        price_path, belief_path = (None if path is None else path[k] for path in (self.price_path, self.belief_path))
         return EpisodeResult(episode=int(self.episode[k]), mode=self.mode, true_state=s,
-                             true_value=float(self.true_value[k]), price_path=self.price_path[k],
-                             belief_path=self.belief_path[k], cascade_time=None if ct < 0 else ct,
-                             final_belief_on_truth=float(self.belief_path[k, -1, s]))
+                             true_value=float(self.true_value[k]), price_path=price_path, belief_path=belief_path,
+                             cascade_time=None if ct < 0 else ct, final_price=float(self.final_price[k]),
+                             final_belief_on_truth=float(self.final_belief[k, s]))
 
 
 @dataclass(frozen=True)
@@ -210,10 +208,12 @@ def _draw_codes(config: ScenarioConfig, episodes, code: np.ndarray) -> np.ndarra
     return true_state
 
 
-def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
+def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> RunResult:
     """The episodes ``episodes`` of a run in market mode ``mode``, stepped
     together as the rows of one weight array.  Both modes make their Bayes
     updates through ``_stepped_rows`` and differ only in what they update on.
+    Each row keeps only its current belief and price; ``paths`` also writes
+    them per period into path arrays, and leaves the final columns the same.
 
     Private mode: each period a noise trader acts uniformly or an informed
     one on its signal's partition class, and the market maker updates on
@@ -232,31 +232,33 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
     noise period leaves both untouched.  So the kernel steps once per
     revealed signal, ``_CHUNK`` updates per stepper call: update k steps
     every row, in episode order, on its k + 1-th signal, or past its last
-    one on signal 0 into columns it never reads (a positive likelihood row
-    keeps a belief valid).  Each row is then spread over its periods in
-    place, a noise period repeating the belief before it, and the prices
-    follow from the beliefs in one product.
-    :class:`ConfigInvalid` names a run too large to allocate.
+    one on signal 0 into beliefs it never reads (a positive likelihood row
+    keeps a belief valid); its belief after its last signal is its final
+    one.  With ``paths`` each row is then spread over its periods in place,
+    a noise period repeating the belief before it, and the prices follow
+    from the beliefs in one product.
+    :class:`ConfigInvalid` names a run too large to allocate or to draw.
     """
     values, table, e = config.structure.states.values, config.structure.likelihood, _eta_value(config.eta)
     (n, m), t_max = table.shape, config.horizon
     episodes = np.array(episodes, dtype=np.intp)
     size = len(episodes)
-    # per period the signal of an informed trader, else m + the noise action
-    try:
+    try:  # code: per period the signal of an informed trader, else m + the noise action
         code = np.empty((size, t_max), dtype=np.min_scalar_type(m + 2))
-        beliefs = np.empty((size, t_max + 1, n))
+        beliefs = np.empty((size, t_max + 1, n)) if paths else None
+        prices = np.empty((size, t_max + 1)) if paths and mode == PRIVATE else None  # public: from the beliefs
+        true_state = _draw_codes(config, episodes, code)
     except (MemoryError, ValueError):
         raise ConfigInvalid(f"a run of {size} episodes x {t_max} periods does not fit in memory") from None
-    true_state = _draw_codes(config, episodes, code)
 
-    beliefs[:, 0] = config.prior.weights
+    cur = np.tile(config.prior.weights, (size, 1))  # per row its belief after its last written period
     cascade_time = np.full(size, -1)
     if mode == PRIVATE:
-        prices = np.empty((size, t_max + 1))
-        prices[:, 0] = _row_products(beliefs[:, 0], values)
+        price = _row_products(cur, values)  # per row its price after its last written period
+        if paths:
+            beliefs[:, 0], prices[:, 0] = cur, price
         t = np.zeros(size, dtype=np.intp)  # per row its last written period
-        active, quotes = np.arange(size), quote_rows(beliefs[:, 0], values, table, e)  # each active row's quotes
+        active, quotes = np.arange(size), quote_rows(cur, values, table, e)  # each active row's quotes
         careful = 0  # periods left to step one at a time after a block raised
         while True:
             trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
@@ -272,7 +274,7 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
             act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
             action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
             try:  # stepped[j]: each row's belief j + 1 periods on, if its partition holds
-                stepped = _stepped_rows(beliefs[active, at], like[rows, action.T])
+                stepped = _stepped_rows(cur[active], like[rows, action.T])
                 check = quote_rows(stepped.reshape(-1, n), values, table, e)
             except (InvalidBelief, NoConsistentPartition):
                 if careful:  # a one-period block steps only beliefs the period loop reaches
@@ -288,29 +290,41 @@ def _run(config: ScenarioConfig, episodes, mode: str) -> RunResult:
             # the price after a period is the quote the last trade so far hit, else the price before the block
             hit = np.where(action == 0, np.vstack([ask, check[1][:-1]]).T, np.vstack([bid, check[0][:-1]]).T)
             last = np.maximum.accumulate(np.where(action < 2, np.arange(k), -1), axis=1)
-            taken = np.arange(k) < done[:, None]
-            written = np.broadcast_to(active[:, None], taken.shape)[taken], span[taken] + 1
-            prices[written] = np.where(last >= 0, hit[rows[:, None], last], prices[active, at][:, None])[taken]
-            beliefs[written] = stepped.transpose(1, 0, 2)[taken]
+            now = np.where(last >= 0, hit[rows[:, None], last], price[active][:, None])
+            if paths:
+                taken = np.arange(k) < done[:, None]
+                written = np.broadcast_to(active[:, None], taken.shape)[taken], span[taken] + 1
+                prices[written], beliefs[written] = now[taken], stepped.transpose(1, 0, 2)[taken]
+            price[active], cur[active] = now[rows, done - 1], stepped[done - 1, rows]
             t[active] = at + done
             quotes = [x[done - 1, rows] for x in check]
-        for r in range(size):  # a row that stopped early keeps its last price and belief
-            prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = prices[r, t[r]], beliefs[r, t[r]]
+        if paths:  # a row that stopped early keeps its last price and belief
+            for r in range(size):
+                prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = price[r], cur[r]
     else:
         informed = code < m
         counts = informed.sum(axis=1)
         signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
         signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
+        stepped = cur[None]  # the last chunk's beliefs
         for k in range(0, signals.shape[1], _CHUNK):
             like = table.T[signals[:, k:k + _CHUNK].T]
-            beliefs[:, k + 1:k + len(like) + 1] = _stepped_rows(beliefs[:, k], like).transpose(1, 0, 2)
-        filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
-        for r in range(size):
-            np.cumsum(informed[r], out=filled[1:])
-            beliefs[r] = beliefs[r, filled]
-        prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
+            stepped = _stepped_rows(stepped[-1], like)
+            if paths:
+                beliefs[:, k + 1:k + len(like) + 1] = stepped.transpose(1, 0, 2)
+            ends = (k < counts) & (counts <= k + len(like))  # the rows whose last update is in this chunk
+            cur[ends] = stepped[counts[ends] - k - 1, ends]
+        if paths:
+            beliefs[:, 0] = config.prior.weights
+            filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
+            for r in range(size):
+                np.cumsum(informed[r], out=filled[1:])
+                beliefs[r] = beliefs[r, filled]
+            prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
+        price = _row_products(cur, values)
     return RunResult(mode=mode, episode=episodes, true_state=true_state, true_value=values[true_state],
-                     cascade_time=cascade_time, price_path=prices, belief_path=beliefs)
+                     cascade_time=cascade_time, final_price=price, final_belief=cur, price_path=prices,
+                     belief_path=beliefs)
 
 
 def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
@@ -326,9 +340,9 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     return _run(config, [episode_index], PUBLIC)[0]
 
 
-def run_episodes(config: ScenarioConfig) -> RunResult:
-    """All episodes of the scenario, in episode order, as one batch."""
-    return _run(config, range(config.episodes), config.mode)
+def run_episodes(config: ScenarioConfig, paths: bool = True) -> RunResult:
+    """All episodes of the scenario, in episode order, as one batch, with paths only if ``paths`` (see _run)."""
+    return _run(config, range(config.episodes), config.mode, paths)
 
 
 def summarize_episodes(run: RunResult, config: ScenarioConfig) -> MonteCarloSummary:
@@ -349,21 +363,19 @@ def summarize_episodes(run: RunResult, config: ScenarioConfig) -> MonteCarloSumm
 
 
 def run_monte_carlo(config: ScenarioConfig) -> MonteCarloSummary:
-    return summarize_episodes(run_episodes(config), config)
+    return summarize_episodes(run_episodes(config, paths=False), config)
 
 
 def compare_modes(config: ScenarioConfig, slack: float = 0.05) -> ModeComparison:
     """Run both market modes on identical per-episode draws (same true
     state, same trader types, same signal stream) and compare summaries.
     ``slack`` must be finite and nonnegative."""
-    if not (0 <= slack < np.inf):  # also rejects NaN
+    if isinstance(slack, bool) or not isinstance(slack, Real) or not (0 <= slack < np.inf):  # also rejects NaN
         raise PreconditionFailed(f"slack must be finite and nonnegative, got {slack!r}")
-    private_cfg = config.with_overrides(mode=PRIVATE)
-    public_cfg = config.with_overrides(mode=PUBLIC)
-    private_episodes = run_episodes(private_cfg)
-    public_episodes = run_episodes(public_cfg)
-    private = summarize_episodes(private_episodes, private_cfg)
-    public = summarize_episodes(public_episodes, public_cfg)
+    private_episodes = _run(config, range(config.episodes), PRIVATE, paths=False)
+    public_episodes = _run(config, range(config.episodes), PUBLIC, paths=False)
+    private = summarize_episodes(private_episodes, config)
+    public = summarize_episodes(public_episodes, config)
     nesting_ok = public.learned_fraction >= private.learned_fraction - slack
     return ModeComparison(private=private, public=public, slack=slack, nesting_ok=nesting_ok,
                           private_episodes=private_episodes, public_episodes=public_episodes)

@@ -184,7 +184,7 @@ def check_limit_support_3state(
 
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=float(eta),
                             mode=PRIVATE, horizon=horizon, episodes=trials, seed=seed)
-    final = run_episodes(config).belief_path[:, -1]
+    final = run_episodes(config, paths=False).final_belief
     distances = np.minimum(final, 1.0 - final).max(axis=1)
     ok_fraction = float((distances <= SUPPORT_SLACK).mean())
     deviation = max(0.0, 1.0 - ok_fraction)

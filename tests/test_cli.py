@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,6 +435,20 @@ def test_simulate_of_a_run_too_large_to_allocate_exits_one(capsys, binary_file, 
     assert code == 1
     assert out == ""
     assert err == "error: a run of 1 episodes x 1000000000000000000 periods does not fit in memory\n"
+
+
+def test_simulate_of_a_run_too_large_to_draw_exits_one(capsys, binary_file, tmp_path, monkeypatch):
+    # an episode's draws are the largest allocation of a run without paths;
+    # the stand-in generator fails them without allocating anything
+    def out_of_memory(size):
+        raise MemoryError(f"Unable to allocate {8 * size} bytes")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(random=out_of_memory))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(binary_file), "--output", str(tmp_path / "sim"),
+                             "--episodes", "1", "--horizon", "1000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a run of 1 episodes x 1000 periods does not fit in memory\n"
 
 
 @pytest.mark.parametrize("thin", ["-5", "0"])

@@ -1,12 +1,15 @@
+import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import market_learn.simulate as simulate
-from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity
+from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity, PreconditionFailed
 from market_learn.engine import quote_rows
 from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, expectation
+from market_learn.plots import emit_plots
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
     ScenarioConfig,
@@ -82,6 +85,24 @@ def test_config_rejects_run_sizes_that_are_not_integers(call, field, value):
         else:
             check_limit_support_3state(three_state_informative(), 0.5, **{field: value})
     binary_config(horizon=np.int64(20), episodes=np.intp(2), seed=np.uint8(3), true_state=np.int64(1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", True), ("eta", "0.5"), ("eta", None), ("convergence_tol", True), ("convergence_tol", "x"),
+    ("slack", "0.1"), ("slack", True), ("plots_tol", "x"), ("plots_tol", True),
+])
+def test_rates_and_tolerances_that_are_not_numbers_raise_typed_errors(field, value, tmp_path):
+    # the rule that JSON scenarios follow: a number, numpy's included, and not a bool
+    if field == "slack":
+        with pytest.raises(PreconditionFailed, match="slack"):
+            compare_modes(binary_config(horizon=20, episodes=2), slack=value)
+    elif field == "plots_tol":
+        with pytest.raises(PreconditionFailed, match="convergence_tol"):
+            emit_plots(run_episodes(binary_config(horizon=20, episodes=2)), tmp_path, convergence_tol=value)
+    else:
+        with pytest.raises(ConfigInvalid, match=f"{field} must be a number"):
+            binary_config(**{field: value})
+    binary_config(eta=np.float64(0.5), convergence_tol=np.float32(0.1))
 
 
 @pytest.mark.parametrize("mode", ["private", "public"])
@@ -512,21 +533,89 @@ def test_public_chunk_that_fails_its_check_raises_as_the_update_loop():
 # (episodes, updates, states) history of the updates measured 1.49 and 1.81.
 PUBLIC_PEAK_RATIO = 1.25
 
+# Peak of traced allocations per episode-period of a run without paths: the
+# one-byte period codes and one episode's draws at a time, and in public
+# mode the informed mask and the signals too.  At 50 x 5,000 it measured
+# 1.84 in private mode on both tables, and 4.13 (four states, eta 0.5) and
+# 5.18 (two states, eta 0) in public mode; the paths alone are 24-40.
+NO_PATH_PEAK_BYTES = {"private": 2.0, "public": 5.5}
 
-@pytest.mark.parametrize("preset, eta", [(four_state_cascade, 0.5), (binary_symmetric, 0.0)])
-def test_public_run_allocates_little_beyond_its_paths(preset, eta):
+
+def _traced_run(preset, eta, mode, paths):
+    """A 50 x 5,000 run and the peak of its traced allocations."""
     structure = preset()
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta,
-                            mode="public", horizon=5000, episodes=50, seed=3)
+                            mode=mode, horizon=5000, episodes=50, seed=3)
     run_episodes(config.with_overrides(horizon=10, episodes=2))  # warm up one-time allocations
     tracemalloc.start()
     try:
-        results = run_episodes(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        results = run_episodes(config, paths=paths)
+        return results, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset, eta", [(four_state_cascade, 0.5), (binary_symmetric, 0.0)])
+def test_public_run_allocates_little_beyond_its_paths(preset, eta):
+    results, peak = _traced_run(preset, eta, "public", paths=True)
     paths = sum(r.price_path.nbytes + r.belief_path.nbytes for r in results)
     assert peak <= PUBLIC_PEAK_RATIO * paths, peak / paths
+
+
+@pytest.mark.parametrize("mode", ["private", "public"])
+@pytest.mark.parametrize("preset, eta", [(four_state_cascade, 0.5), (binary_symmetric, 0.0)])
+def test_run_without_paths_allocates_a_few_bytes_per_period(preset, eta, mode):
+    results, peak = _traced_run(preset, eta, mode, paths=False)
+    assert results.price_path is None and results.belief_path is None
+    per_period = peak / (50 * 5000)
+    assert per_period <= NO_PATH_PEAK_BYTES[mode], per_period
+
+
+# ---------------------------------------------------------------- runs without paths
+
+@pytest.mark.parametrize("mode", ["private", "public"])
+@pytest.mark.parametrize("structure", [binary_symmetric(), three_state_informative(), four_state_cascade(),
+                                       DUPLICATED_ROWS], ids=["binary", "three_state", "four_state", "duplicated"])
+def test_run_without_paths_has_the_final_columns_of_the_path_run(structure, mode):
+    for eta, seed in itertools.product((0.0, 0.5, 1.0), (0, 1, 7)):
+        config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta, mode=mode,
+                                horizon=300, episodes=12, seed=seed)
+        full, bare = run_episodes(config), run_episodes(config, paths=False)
+        assert bare.price_path is None and bare.belief_path is None
+        assert full.final_price.tobytes() == full.price_path[:, -1].tobytes()
+        assert full.final_belief.tobytes() == full.belief_path[:, -1].tobytes()
+        for name in ("final_price", "final_belief", "true_state", "cascade_time"):
+            a, b = getattr(full, name), getattr(bare, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, eta, seed)
+
+
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_row_views_of_a_run_without_paths(mode):
+    config = binary_config(mode=mode, horizon=120)
+    for a, b in zip(run_episodes(config), run_episodes(config, paths=False), strict=True):
+        assert b.price_path is None and b.belief_path is None
+        assert (b.final_price, b.final_belief_on_truth) == (a.final_price, a.final_belief_on_truth)
+        assert (a.final_price, a.final_belief_on_truth) == (a.price_path[-1], a.belief_path[-1, a.true_state])
+    # compare_modes runs without paths, on the draws each mode's own run makes
+    run = getattr(compare_modes(config), f"{mode}_episodes")
+    full = run_episodes(config)
+    assert run.price_path is None and run.belief_path is None
+    assert run.final_price.tobytes() == full.final_price.tobytes()
+    assert run.final_belief.tobytes() == full.final_belief.tobytes()
+
+
+def _out_of_memory(size):
+    raise MemoryError(f"Unable to allocate {8 * size} bytes")
+
+
+@pytest.mark.parametrize("paths", [False, True])
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_run_too_large_to_draw_raises_a_typed_error(monkeypatch, mode, paths):
+    # without paths the period codes are the largest array allocated up
+    # front, so one episode's draw can be the first allocation that fails
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(random=_out_of_memory))
+    with pytest.raises(ConfigInvalid, match=r"^a run of 1 episodes x 1000 periods does not fit in memory$"):
+        run_episodes(binary_config(mode=mode, episodes=1, horizon=1000), paths=paths)
 
 
 # ---------------------------------------------------------------- summaries
