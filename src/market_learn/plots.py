@@ -26,10 +26,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 _MAX_SERIES = 50
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
     """Write a line chart to ``path``.
 
@@ -69,33 +65,22 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
 
     for tick in np.linspace(y_lo + pad, y_hi - pad, 5):
         y = py(tick)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-        )
+        parts += [f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{y:.2f}" '
+                  f'stroke="#dddddd" stroke-width="1"/>',
+                  f'<text x="{_MARGIN_L - 6}" y="{y + 4:.2f}" text-anchor="end" '
+                  f'font-family="sans-serif" font-size="11">{tick:.3g}</text>']
     for tick in np.linspace(x_lo, x_hi, 5):
-        x = px(tick)
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_B + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
-        )
+        parts.append(f'<text x="{px(tick):.2f}" y="{_HEIGHT - _MARGIN_B + 16}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="11">{tick:.4g}</text>')
 
-    parts.append(
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
+    parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+                 f'fill="none" stroke="#333333" stroke-width="1"/>')
 
     for idx, (xs, ys) in enumerate(series):
         xs, ys = px(np.asarray(xs, dtype=float)), py(np.asarray(ys, dtype=float))
         points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
         color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>'
-        )
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
 
     if x_label:
         parts.append(

@@ -48,8 +48,10 @@ PUBLIC = "public"
 # (see _run).  16 ran the shipped scenarios faster, but 35% slower than the
 # period loop on 300 episodes whose sets change every ~13 periods; 8 did not.
 _BLOCK = 8
-# Updates per public-mode chunk (see _run): 32-256 ran alike at 300 x 30,000; 256 held 6 MB more.
-_CHUNK = 64
+# Episode-periods per public-mode block (see _run), but at least 64 periods:
+# shorter blocks ran 2x slower at 300 x 3,000, and blocks of 8,192 cells
+# raised the peak over the paths at 20 x 3,000.
+_CELLS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -208,35 +210,48 @@ def _draw_codes(config: ScenarioConfig, episodes, code: np.ndarray) -> np.ndarra
     return true_state
 
 
+def _counted_rows(counts: np.ndarray, logs: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """The public beliefs, states last, after ``counts[j]`` revealed signals
+    ``j`` (see _run).  ``logs`` and ``prior`` carry two trailing axes, so the
+    work runs state-major: numpy reduces a short last axis many times slower."""
+    w = sum(log * count for log, count in zip(logs, counts))
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w *= prior
+    w /= w.sum(axis=0)
+    return np.moveaxis(w, 0, -1)
+
+
 def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> RunResult:
     """The episodes ``episodes`` of a run in market mode ``mode``, stepped
-    together as the rows of one weight array.  Both modes make their Bayes
-    updates through ``_stepped_rows`` and differ only in what they update on.
-    Each row keeps only its current belief and price; ``paths`` also writes
-    them per period into path arrays, and leaves the final columns the same.
+    together as the rows of one weight array.  Each row keeps only its
+    current belief and price; ``paths`` also writes them per period into
+    path arrays, and leaves the final columns the same.
 
     Private mode: each period a noise trader acts uniformly or an informed
     one on its signal's partition class, and the market maker updates on
-    the action alone.  A row whose partition is all-no-trade leaves the
-    active set: every action likelihood is then state-independent, so the
-    rest of its path is filled as constant.  Partitions seldom change, so
-    each row steps ``_BLOCK`` periods ahead on its current partition and one
-    ``quote_rows`` call solves every stepped belief; a row keeps the periods
-    up to its first belief whose sets or action likelihoods differ (a new
-    sorted order alters their last bits) and restarts there, so its path is
-    the period loop's bit for bit.  A block that raises is stepped again one
-    period at a time, so an error names a belief that loop reaches.
+    the action alone, through ``_stepped_rows``.  A row whose partition is
+    all-no-trade leaves the active set: every action likelihood is then
+    state-independent, so the rest of its path is filled as constant.
+    Partitions seldom change, so each row steps ``_BLOCK`` periods ahead on
+    its current partition and one ``quote_rows`` call solves every stepped
+    belief; a row keeps the periods up to its first belief whose sets or
+    action likelihoods differ (a new sorted order alters their last bits)
+    and restarts there, so its path is the period loop's bit for bit.  A
+    block that raises is stepped again one period at a time, so an error
+    names a belief that loop reaches.
 
-    Public mode: an informed period reveals the signal to everyone, the
-    belief updates by Bayes rule and the price is the new expectation; a
-    noise period leaves both untouched.  So the kernel steps once per
-    revealed signal, ``_CHUNK`` updates per stepper call: update k steps
-    every row, in episode order, on its k + 1-th signal, or past its last
-    one on signal 0 into beliefs it never reads (a positive likelihood row
-    keeps a belief valid); its belief after its last signal is its final
-    one.  With ``paths`` each row is then spread over its periods in place,
-    a noise period repeating the belief before it, and the prices follow
-    from the beliefs in one product.
+    Public mode: an informed period reveals the signal to everyone, and a
+    noise period leaves belief and price untouched, so a belief depends
+    only on the prior and the count of each signal revealed so far.  It is
+    ``prior * exp(s - max(s))`` normalized, the price its expectation,
+    where ``s[i]`` sums count times log-likelihood over the signals for each
+    state ``i`` apart: states with equal table rows keep their prior ratio,
+    and a weight that underflows comes back once the counts favour its
+    state.  The kernel counts signals in blocks of ``_CELLS`` cells; with
+    ``paths`` it writes each block's beliefs in place, so a noise period
+    repeats the belief before it bit for bit.  A likelihood entry that is
+    not finite and positive raises :class:`InvalidBelief` before any log.
     :class:`ConfigInvalid` names a run too large to allocate or to draw.
     """
     values, table, e = config.structure.states.values, config.structure.likelihood, _eta_value(config.eta)
@@ -302,24 +317,23 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
             for r in range(size):
                 prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = price[r], cur[r]
     else:
-        informed = code < m
-        counts = informed.sum(axis=1)
-        signals = np.zeros((size, counts.max()), dtype=code.dtype)  # per row its signals, then 0s
-        signals[np.arange(signals.shape[1]) < counts[:, None]] = code[informed]
-        stepped = cur[None]  # the last chunk's beliefs
-        for k in range(0, signals.shape[1], _CHUNK):
-            like = table.T[signals[:, k:k + _CHUNK].T]
-            stepped = _stepped_rows(stepped[-1], like)
-            if paths:
-                beliefs[:, k + 1:k + len(like) + 1] = stepped.transpose(1, 0, 2)
-            ends = (k < counts) & (counts <= k + len(like))  # the rows whose last update is in this chunk
-            cur[ends] = stepped[counts[ends] - k - 1, ends]
+        if not ((0 < table) & (table < np.inf)).all():  # NaN fails both
+            raise InvalidBelief(f"likelihood table {table.tolist()} has an entry that is not finite and positive, "
+                                "so public beliefs would not stay finite and nonnegative")
+        # per signal the log-likelihoods against its likeliest state, so the sums stay small
+        logs = np.log(table / table.max(axis=0)).T[..., None, None]
+        prior, signal = config.prior.weights[:, None, None], np.arange(m, dtype=code.dtype)[:, None, None]
+        seen = np.zeros((m, size, 1))  # per signal and row its count revealed so far
+        span = max(64, _CELLS // size)
+        for k in range(0, t_max, span):
+            revealed = code[:, k:k + span] == signal
+            if paths:  # the belief at period t counts the signals of the periods before t
+                counts = np.cumsum(revealed, axis=2) - revealed + seen
+                beliefs[:, k:k + counts.shape[2]] = _counted_rows(counts, logs, prior)
+            seen += np.count_nonzero(revealed, axis=2, keepdims=True)
+        cur = _counted_rows(seen, logs, prior)[:, 0].copy()
         if paths:
-            beliefs[:, 0] = config.prior.weights
-            filled = np.zeros(t_max + 1, dtype=np.intp)  # per period the updates made by its end
-            for r in range(size):
-                np.cumsum(informed[r], out=filled[1:])
-                beliefs[r] = beliefs[r, filled]
+            beliefs[:, -1] = cur
             prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
         price = _row_products(cur, values)
     return RunResult(mode=mode, episode=episodes, true_state=true_state, true_value=values[true_state],
@@ -335,8 +349,9 @@ def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRe
 
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
     """One public-signal episode: the batched kernel on the batch
-    ``[episode_index]``.  It matches a one-signal Bayes posterior per period
-    plus :func:`~market_learn.model.expectation` bit for bit."""
+    ``[episode_index]``.  Its beliefs come from the signal counts in log
+    space, so they match a one-signal Bayes posterior per period plus
+    :func:`~market_learn.model.expectation` to rounding, not bit for bit."""
     return _run(config, [episode_index], PUBLIC)[0]
 
 

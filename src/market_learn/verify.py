@@ -182,7 +182,7 @@ def check_limit_support_3state(
     if not is_pairwise_informative(structure).holds:
         raise PreconditionFailed("check requires a pairwise informative structure")
 
-    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=float(eta),
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=eta,
                             mode=PRIVATE, horizon=horizon, episodes=trials, seed=seed)
     final = run_episodes(config, paths=False).final_belief
     distances = np.minimum(final, 1.0 - final).max(axis=1)
@@ -269,9 +269,9 @@ def run_martingale_suite(trials: int = 1000, seed: int = 0,
     belief and a true state.  Trials are drawn ``SUITE_BLOCK`` at a time and
     each block is checked in one kernel call per (states, signals) shape; a
     given structure's table and values are shared by all its rows."""
-    if not isinstance(trials, Integral) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
         raise PreconditionFailed(f"the suite needs a whole number of trials, at least one, got {trials!r}")
-    if not isinstance(seed, Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise PreconditionFailed(f"seed must be a nonnegative integer, got {seed!r}")
     rng, eta = np.random.default_rng(seed), None if eta is None else _eta_value(eta)
     worst = {name: (0.0, None) for name in CHECKS}

@@ -9,8 +9,7 @@ likelihood of a partition class, the public update on an action, the scalar
 one-step identities the martingale suite batches, the Monte Carlo summary
 as a loop over episodes, an episode's draws through ``Generator.choice``,
 the suite's random tables, value grids and beliefs one draw at a time
-through ``Generator.dirichlet``, the public kernel's per-update loop, a
-point-mass belief, and loading a bare structure file; two test-only
+through ``Generator.dirichlet``, a point-mass belief, and loading a bare structure file; two test-only
 helpers, the crossing signals of a state pair and random strict-MLRP
 structures; and the linear program that is the oracle for the
 cascade-belief decision.  Nothing in ``market_learn`` calls
@@ -369,19 +368,6 @@ def draw_belief(rng: np.random.Generator, n: int) -> np.ndarray:
     """The unnormalized weights of ``verify.random_belief`` drawn with
     ``Generator.dirichlet``: the oracle for ``verify._floored_dirichlet``."""
     return np.maximum(rng.dirichlet(np.ones(n)), RANDOM_FLOOR)
-
-
-def public_update_loop(prior: np.ndarray, likelihood: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """The public kernel's update loop with a check per update: row r of
-    the result holds ``prior[r]`` and then its belief after each of
-    ``signals[r]``, every update one ``_normalized_rows`` call, so an
-    :class:`InvalidBelief` names the first bad belief of the first bad
-    update.  The oracle for the chunked loop of ``simulate._run``."""
-    beliefs = np.empty((len(prior), signals.shape[1] + 1, prior.shape[1]))
-    beliefs[:, 0] = prior
-    for k in range(signals.shape[1]):
-        beliefs[:, k + 1] = _normalized_rows(beliefs[:, k] * likelihood.T[signals[:, k]])
-    return beliefs
 
 
 def load_structure(path) -> SignalStructure:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import market_learn.simulate as simulate
 from market_learn.errors import ConfigInvalid, InvalidBelief, NonPositiveDensity, PreconditionFailed
 from market_learn.engine import quote_rows
-from market_learn.model import Belief, SignalSpace, SignalStructure, StateSpace, expectation
+from market_learn.model import PROB_SUM_TOL, Belief, SignalSpace, SignalStructure, StateSpace, expectation
 from market_learn.plots import emit_plots
 from market_learn.presets import binary_symmetric, four_state_cascade, three_state_informative
 from market_learn.simulate import (
@@ -21,7 +22,7 @@ from market_learn.simulate import (
     summarize_episodes,
 )
 from market_learn.verify import check_limit_support_3state, random_belief, random_structure
-from reference import bayes_posterior, draw_episode, point_mass, public_update_loop, reference_summary
+from reference import bayes_posterior, draw_episode, point_mass, reference_summary
 
 
 def binary_config(**overrides):
@@ -374,20 +375,27 @@ def reference_public_path(config, informative, signals):
     return np.array(prices), np.array(beliefs)
 
 
-def reference_public_episode(config, episode_index):
-    """run_public_episode rebuilt from the draws of the documented contract."""
-    true_state, informative, signals, _ = draw_episode(config, episode_index)
-    return (true_state, *reference_public_path(config, informative, signals))
+# The count-based public kernel against the probability-space loop of
+# reference_public_path: across the runs these tests compare, the beliefs
+# differed by at most 3.4e-15 and the prices by 5.2e-15.
+PUBLIC_BELIEF_TOL, PUBLIC_PRICE_TOL = 4e-15, 6e-15
 
 
 def _assert_public_episode_matches_reference(config, episode_index):
-    true_state, prices, beliefs = reference_public_episode(config, episode_index)
+    """run_public_episode against the scalar loop on the draws of the
+    documented contract; a noise period repeats the belief and price before
+    it exactly."""
+    true_state, informative, signals, _ = draw_episode(config, episode_index)
+    prices, beliefs = reference_public_path(config, informative, signals)
     result = run_public_episode(config, episode_index)
     assert result.true_state == true_state
-    np.testing.assert_array_equal(result.price_path, prices)
-    np.testing.assert_array_equal(result.belief_path, beliefs)
+    np.testing.assert_allclose(result.price_path, prices, rtol=0, atol=PUBLIC_PRICE_TOL)
+    np.testing.assert_allclose(result.belief_path, beliefs, rtol=0, atol=PUBLIC_BELIEF_TOL)
+    quiet = np.flatnonzero(~informative)
+    assert np.all(result.belief_path[quiet + 1] == result.belief_path[quiet])
+    assert np.all(result.price_path[quiet + 1] == result.price_path[quiet])
     assert result.cascade_time is None
-    assert result.final_belief_on_truth == beliefs[-1][true_state]
+    assert result.final_belief_on_truth == result.belief_path[-1, true_state]
 
 
 @pytest.mark.parametrize("preset", [binary_symmetric, three_state_informative, four_state_cascade])
@@ -459,25 +467,31 @@ def test_draws_match_the_choice_draws_bit_for_bit(preset, true_state, eta, horiz
     assert len(set(drawn.tolist())) > 1 if true_state is None else set(drawn.tolist()) == {true_state}
 
 
-# At eta 0 every period reveals a signal, so a public run makes one update
-# per period: one short of a chunk, one chunk, one past it, one past two.
-@pytest.mark.parametrize("horizon", [63, 64, 65, 129])
-def test_public_chunk_edges_match_reference(horizon):
-    assert simulate._CHUNK == 64
+# The public kernel counts signals in blocks of _CELLS episode-periods, but
+# of at least 64 periods; at _CELLS 1 a 129-period run splits at periods 64
+# and 128 and gives the same run bit for bit as one block, with and without
+# paths.  At eta 0 every period reveals a signal; at eta 0.5 noise periods,
+# which repeat the belief before them, also straddle block edges.
+@pytest.mark.parametrize("horizon", [1, 64, 129])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_public_blocks_match_reference_and_each_other(monkeypatch, eta, horizon):
     config = ScenarioConfig(structure=four_state_cascade(), prior=Belief(np.array([0.4, 0.3, 0.2, 0.1])),
-                            eta=0.0, mode="public", horizon=horizon, episodes=4, seed=11)
+                            eta=eta, mode="public", horizon=horizon, episodes=4, seed=11)
     run = _assert_batch_matches_single_episodes(config)
     for result in run:
         _assert_public_episode_matches_reference(config, result.episode)
-    # with no noise period to fill, the paths are the update loop's rows
-    signals = np.array([draw_episode(config, i)[2] for i in range(config.episodes)])
-    prior = np.tile(config.prior.weights, (config.episodes, 1))
-    np.testing.assert_array_equal(run.belief_path, public_update_loop(prior, config.structure.likelihood, signals))
+    assert simulate._CELLS >= config.episodes * (horizon + 1)
+    monkeypatch.setattr(simulate, "_CELLS", 1)
+    for paths in (True, False):
+        blocked = run_episodes(config, paths=paths)
+        names = ["final_price", "final_belief"] + (["price_path", "belief_path"] if paths else [])
+        for name in names:
+            assert getattr(blocked, name).tobytes() == getattr(run, name).tobytes(), name
 
 
-def test_public_chunks_mix_rows_with_no_updates_and_with_every_update(monkeypatch):
-    # at eta 0 every row updates in each of its 129 periods, three chunks;
-    # rows 1 and 4 are made all noise after the draws, so they never update
+def test_public_rows_with_no_updates_beside_rows_with_every_update(monkeypatch):
+    # at eta 0 every row updates in each of its 129 periods; rows 1 and 4
+    # are made all noise after the draws, so they never update
     quiet, draw = [1, 4], simulate._draw_codes
 
     def with_quiet_rows(config, episodes, code):
@@ -494,51 +508,87 @@ def test_public_chunks_mix_rows_with_no_updates_and_with_every_update(monkeypatc
         assert informative.all()
         prices, beliefs = reference_public_path(config, informative & (k not in quiet), signals)
         assert run.true_state[k] == true_state
-        np.testing.assert_array_equal(run.price_path[k], prices)
-        np.testing.assert_array_equal(run.belief_path[k], beliefs)
-    assert np.all(run.belief_path[quiet] == config.prior.weights)
+        np.testing.assert_allclose(run.price_path[k], prices, rtol=0, atol=PUBLIC_PRICE_TOL)
+        np.testing.assert_allclose(run.belief_path[k], beliefs, rtol=0, atol=PUBLIC_BELIEF_TOL)
+    assert np.all(run.belief_path[quiet] == run.belief_path[quiet, :1])
+    np.testing.assert_allclose(run.belief_path[quiet, 0], np.tile(config.prior.weights, (2, 1)), rtol=0,
+                               atol=PUBLIC_BELIEF_TOL)
 
 
-# A table that SignalStructure rejects: state 0 gives the rare signal "c" a
-# negative likelihood, so an update on "c" breaks the belief.
-RARE_NEGATIVE_TABLE = np.array([[0.5, 0.51, -0.01], [0.5, 0.49, 0.01]])
+# Tables that SignalStructure rejects: state 0 gives the rare signal "c" a
+# negative, a zero or a NaN likelihood.
+NONPOSITIVE_TABLES = [np.array([[0.5, 0.51, c], [0.5, 0.49, 0.01]]) for c in (-0.01, 0.0, np.nan)]
 
 
-def test_public_chunk_that_fails_its_check_raises_as_the_update_loop():
+@pytest.mark.parametrize("table", NONPOSITIVE_TABLES, ids=["negative", "zero", "nan"])
+def test_public_run_on_a_table_with_a_nonpositive_entry_raises_before_any_log(table):
     # the table is swapped in after validation, as in
-    # test_batch_rejects_a_belief_with_a_negative_weight; the true state's
-    # row stays valid, so only the update on "c" can fail
+    # test_batch_rejects_a_belief_with_a_negative_weight; the kernel takes
+    # the log of every entry, so it checks them all first
     structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b", "c")),
                                 np.array([[0.5, 0.49, 0.01], [0.5, 0.49, 0.01]]))
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=0.0, mode="public",
                             horizon=200, episodes=3, seed=5, true_state=1)
-    object.__setattr__(config.structure, "likelihood", RARE_NEGATIVE_TABLE)
-    signals = np.array([draw_episode(config, i)[2] for i in range(config.episodes)])
-    # the first bad update is update 96 of row 0, inside the second chunk;
-    # row 1 never draws "c"
-    first_bad = [int(np.argmax(row == 2)) if (row == 2).any() else None for row in signals]
-    assert first_bad == [96, None, 97] and simulate._CHUNK <= 96 < 2 * simulate._CHUNK
-    with pytest.raises(InvalidBelief) as expected:
-        public_update_loop(np.tile(config.prior.weights, (config.episodes, 1)), RARE_NEGATIVE_TABLE, signals)
-    for run in (lambda: run_episodes(config), lambda: run_public_episode(config, 0)):
-        with pytest.raises(InvalidBelief) as raised:
-            run()
-        assert str(raised.value) == str(expected.value)
+    object.__setattr__(config.structure, "likelihood", table)
+    message = (f"likelihood table [[0.5, 0.51, {table[0, 2]}], [0.5, 0.49, 0.01]] has an entry that is not "
+               "finite and positive, so public beliefs would not stay finite and nonnegative")
+    runs = (lambda: run_episodes(config), lambda: run_episodes(config, paths=False), lambda: run_public_episode(config, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(InvalidBelief) as raised:
+                run()
+            assert str(raised.value) == message
+
+
+# A public belief depends only on the prior and the signal counts, so a
+# weight that underflows comes back: 2,000 "h" and then 2,000 "l" signals
+# on binary_symmetric(0.8) leave exactly the prior.  A probability-space
+# loop holds an exact zero from about the 540th "h" on.
+def test_public_belief_recovers_from_an_underflowed_weight(monkeypatch):
+    def balanced(config, episodes, code):
+        code[:, :2000], code[:, 2000:] = 0, 1
+        return np.ones(len(episodes), dtype=np.intp)
+
+    monkeypatch.setattr(simulate, "_draw_codes", balanced)
+    prior = Belief(np.array([0.3, 0.7]))
+    config = ScenarioConfig(structure=binary_symmetric(0.8), prior=prior, eta=0.0, mode="public",
+                            horizon=4000, episodes=2, seed=0)
+    for paths in (True, False):
+        run = run_episodes(config, paths=paths)
+        np.testing.assert_array_equal(run.final_belief, np.tile(prior.weights, (2, 1)))
+    assert run_episodes(config).belief_path[:, 2000, 1].max() == 0.0
+
+
+# The duplicated-state table at 33x the benchmark's horizon, true state 2:
+# the weights of the duplicated states underflow, and neither turns a
+# belief into NaN nor, while both are normal, breaks their prior ratio.
+def test_public_beliefs_stay_finite_and_keep_the_duplicated_ratio_at_long_horizons():
+    prior = Belief(np.array([0.2, 0.5, 0.3]))
+    config = ScenarioConfig(structure=DUPLICATED_ROWS, prior=prior, eta=0.5, mode="public", horizon=100_000,
+                            episodes=3, seed=502, true_state=2)
+    beliefs = run_episodes(config).belief_path
+    assert np.isfinite(beliefs).all()
+    assert np.abs(beliefs.sum(axis=2) - 1.0).max() <= PROB_SUM_TOL
+    both = (beliefs[..., :2] >= np.finfo(float).tiny).all(axis=2)
+    assert not both.all() and both.any()
+    ratio = beliefs[..., 0][both] / beliefs[..., 1][both]
+    assert np.abs(ratio - 0.2 / 0.5).max() <= 1e-12
 
 
 # Peak of traced allocations over the bytes of the returned paths.  The
-# kernel writes beliefs in place and keeps one byte per period for each of
-# the period codes, the informed mask and the signals; it measured 1.07
-# (four states, eta 0.5) and 1.14 (two states, eta 0).  A dense
-# (episodes, updates, states) history of the updates measured 1.49 and 1.81.
+# kernel writes beliefs in place and keeps one byte per period of period
+# codes, plus count arrays for one block of _CELLS episode-periods; it
+# measured 1.03 (four states, eta 0.5) and 1.05 (two states, eta 0).  A
+# dense (episodes, periods, signals) array of counts measured 4.03.
 PUBLIC_PEAK_RATIO = 1.25
 
 # Peak of traced allocations per episode-period of a run without paths: the
-# one-byte period codes and one episode's draws at a time, and in public
-# mode the informed mask and the signals too.  At 50 x 5,000 it measured
-# 1.84 in private mode on both tables, and 4.13 (four states, eta 0.5) and
-# 5.18 (two states, eta 0) in public mode; the paths alone are 24-40.
-NO_PATH_PEAK_BYTES = {"private": 2.0, "public": 5.5}
+# one-byte period codes and one episode's draws at a time.  At 50 x 5,000
+# it measured 1.84 in both modes on both tables; the paths alone are 24-40.
+# Public mode counted each row's signals in a mask and a padded copy until
+# it counted them by blocks, and then measured 4.13 and 5.18.
+NO_PATH_PEAK_BYTES = {"private": 2.0, "public": 1.85}
 
 
 def _traced_run(preset, eta, mode, paths):

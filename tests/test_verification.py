@@ -6,7 +6,7 @@ import pytest
 
 import market_learn.verify as verify
 from market_learn.conditions import is_mlrp, is_pairwise_informative
-from market_learn.errors import DegenerateBelief, InvalidBelief, PreconditionFailed
+from market_learn.errors import ConfigInvalid, DegenerateBelief, InvalidBelief, PreconditionFailed
 from market_learn.model import (
     ACTIONS,
     Belief,
@@ -272,10 +272,19 @@ def test_martingale_suite_rejects_a_negative_seed():
 
 
 @pytest.mark.parametrize("kwargs, name", [({"trials": 2.5}, "trials"), ({"seed": 1.5}, "seed"),
-                                          ({"trials": "10"}, "trials"), ({"seed": None}, "seed")])
+                                          ({"trials": "10"}, "trials"), ({"seed": None}, "seed"),
+                                          ({"trials": True}, "trials"), ({"seed": False}, "seed")])
 def test_martingale_suite_rejects_a_count_or_seed_that_is_not_an_integer(kwargs, name):
+    # a bool is an Integral to Python, but not a count or a seed
     with pytest.raises(PreconditionFailed, match=name):
         run_martingale_suite(**kwargs)
+
+
+@pytest.mark.parametrize("eta", ["0.5", True])
+def test_limit_support_check_rejects_a_noise_rate_that_is_not_a_number(eta):
+    # the noise rate reaches ScenarioConfig as given, so it follows the config's rule
+    with pytest.raises(ConfigInvalid, match="eta must be a number"):
+        check_limit_support_3state(binary_symmetric(0.8), eta, trials=2, horizon=10)
 
 
 def reference_suite(trials, seed, structure, eta):
