@@ -222,24 +222,6 @@ def _row_products(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], x)[:, 0]
 
 
-def _stepped_rows(w: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The beliefs ``w`` updated by Bayes rule on ``like[0], like[1], ...`` in turn: ``out[j]`` is each row of ``w``
-    after update ``j``.  The batch steps unchecked and passes one test as a whole (row sums positive and finite,
-    weights nonnegative, beliefs summing to 1 within ``PROB_SUM_TOL``, NaN failing), or steps again through
-    :func:`_normalized_rows`, so an error names the belief that a one-update loop raises on."""
-    out, total = np.empty(like.shape[:1] + w.shape), np.empty(like.shape[:2])
-    with np.errstate(all="ignore"):
-        for j, before in enumerate([w, *out[:-1]]):
-            np.add.reduce(np.multiply(before, like[j], out=out[j]), axis=1, out=total[j])
-            np.divide(out[j], total[j, :, None], out=out[j])
-        if (0.0 < total.min() and total.max() < np.inf and out.min() >= 0.0
-                and np.abs(out.sum(axis=-1) - 1.0).max() <= PROB_SUM_TOL):
-            return out
-    for j, before in enumerate([w, *out[:-1]]):
-        out[j] = _normalized_rows(before * like[j])
-    return out
-
-
 def _eta_value(eta) -> float:
     """The noise rate (probability of a noise trader) as a float in [0, 1]."""
     e = float(eta)

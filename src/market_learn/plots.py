@@ -24,6 +24,8 @@ _PALETTE = (
 _WIDTH, _HEIGHT = 720, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 _MAX_SERIES = 50
+# what xml.sax.saxutils.escape replaces in text, without the 30 ms and ~3 MB of urllib.request it imports
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
@@ -34,6 +36,7 @@ def svg_line_chart(series, path, title="", x_label="", y_label="") -> Path:
     """
     if not series:
         raise MissingResults("no series to plot")
+    title, x_label, y_label = (str(text).translate(_XML_TEXT) for text in (title, x_label, y_label))
 
     xs_all = np.concatenate([np.asarray(xs, dtype=float) for xs, _ in series])
     ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series])

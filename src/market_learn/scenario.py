@@ -97,7 +97,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     return dict({f.name: getattr(config, f.name) for f in _SCENARIO_FIELDS},
                 structure=structure_to_dict(config.structure),
-                prior=[float(w) for w in config.prior.weights], eta=float(config.eta))
+                prior=[float(w) for w in config.prior.weights])
 
 
 def to_json(doc, indent=2) -> str:

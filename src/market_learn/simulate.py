@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import quote_rows
 from .errors import ConfigInvalid, InvalidBelief, NoConsistentPartition, PreconditionFailed
-from .model import Belief, SignalStructure, _eta_value, _row_products, _stepped_rows
+from .model import Belief, SignalStructure, _eta_value, _row_products
 
 __all__ = [
     "PRIVATE",
@@ -74,6 +74,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigInvalid(f"{name} must be {'a number' if kind is Real else 'an integer'}, got {value!r}")
+            object.__setattr__(self, name, float(value) if kind is Real else int(value))  # numpy scalars: not JSON
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -210,6 +211,16 @@ def _draw_codes(config: ScenarioConfig, episodes, code: np.ndarray) -> np.ndarra
     return true_state
 
 
+def _stepped_rows(w: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``out[j]``: each row of ``w`` after Bayes updates on ``like[0]`` to ``like[j]`` in turn.  Past
+    ``_run``'s table check every action likelihood, and so every row sum, is finite and positive."""
+    out = np.empty(like.shape[:1] + w.shape)
+    for j, before in enumerate([w, *out[:-1]]):
+        np.multiply(before, like[j], out=out[j])
+        out[j] /= out[j].sum(axis=1, keepdims=True)
+    return out
+
+
 def _counted_rows(counts: np.ndarray, logs: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """The public beliefs, states last, after ``counts[j]`` revealed signals
     ``j`` (see _run).  ``logs`` and ``prior`` carry two trailing axes, so the
@@ -226,7 +237,9 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
     """The episodes ``episodes`` of a run in market mode ``mode``, stepped
     together as the rows of one weight array.  Each row keeps only its
     current belief and price; ``paths`` also writes them per period into
-    path arrays, and leaves the final columns the same.
+    path arrays, and leaves the final columns the same.  A likelihood entry
+    that is not finite and positive (only a table swapped in after
+    validation) raises :class:`InvalidBelief` before any allocation or draw.
 
     Private mode: each period a noise trader acts uniformly or an informed
     one on its signal's partition class, and the market maker updates on
@@ -250,12 +263,14 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
     and a weight that underflows comes back once the counts favour its
     state.  The kernel counts signals in blocks of ``_CELLS`` cells; with
     ``paths`` it writes each block's beliefs in place, so a noise period
-    repeats the belief before it bit for bit.  A likelihood entry that is
-    not finite and positive raises :class:`InvalidBelief` before any log.
-    :class:`ConfigInvalid` names a run too large to allocate or to draw.
+    repeats the belief before it bit for bit.  :class:`ConfigInvalid` names
+    a run too large to allocate or to draw.
     """
     values, table, e = config.structure.states.values, config.structure.likelihood, _eta_value(config.eta)
     (n, m), t_max = table.shape, config.horizon
+    if not ((0 < table) & (table < np.inf)).all():  # NaN fails both
+        raise InvalidBelief(f"likelihood table {table.tolist()} has an entry that is not finite and positive, "
+                            "so beliefs would not stay finite and nonnegative")
     episodes = np.array(episodes, dtype=np.intp)
     size = len(episodes)
     try:  # code: per period the signal of an informed trader, else m + the noise action
@@ -288,10 +303,10 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
             # per row the action, in model.ACTIONS order, of each signal and then of each noise code
             act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
             action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
-            try:  # stepped[j]: each row's belief j + 1 periods on, if its partition holds
-                stepped = _stepped_rows(cur[active], like[rows, action.T])
+            stepped = _stepped_rows(cur[active], like[rows, action.T])  # [j]: j + 1 periods on, if the sets hold
+            try:
                 check = quote_rows(stepped.reshape(-1, n), values, table, e)
-            except (InvalidBelief, NoConsistentPartition):
+            except NoConsistentPartition:
                 if careful:  # a one-period block steps only beliefs the period loop reaches
                     raise
                 careful = _BLOCK  # the error may come from a belief past a partition change
@@ -317,9 +332,6 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
             for r in range(size):
                 prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = price[r], cur[r]
     else:
-        if not ((0 < table) & (table < np.inf)).all():  # NaN fails both
-            raise InvalidBelief(f"likelihood table {table.tolist()} has an entry that is not finite and positive, "
-                                "so public beliefs would not stay finite and nonnegative")
         # per signal the log-likelihoods against its likeliest state, so the sums stay small
         logs = np.log(table / table.max(axis=0)).T[..., None, None]
         prior, signal = config.prior.weights[:, None, None], np.arange(m, dtype=code.dtype)[:, None, None]

@@ -33,7 +33,6 @@ from .model import (
     _normalized_rows,
     _raise_where,
     _row_products,
-    _stepped_rows,
 )
 from .simulate import PRIVATE, ScenarioConfig, run_episodes
 
@@ -132,10 +131,10 @@ def _one_step_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e, true
     bid, ask, buy, sell, like = quote_rows(w, values, table, e)
     exp_val = _row_products(w, values[..., None])[:, 0]
     live = like.any(axis=2)
-    # one stepper call on action-major rows names the first row it cannot normalize, else the first non-belief; a
-    # dead action (buy and sell at eta 0) steps to the belief itself and adds an exact 0: its probability is 0
+    # one checked update of action-major rows names the first row it cannot normalize, else the first non-belief;
+    # a dead action (buy and sell at eta 0) steps to the belief itself and adds an exact 0: its probability is 0
     batch_w, batch_like = np.tile(w, (3, 1)), like.transpose(1, 0, 2).reshape(3 * len(w), -1)
-    stepped = _stepped_rows(batch_w, np.where(live.T.reshape(-1, 1), batch_like, 1.0)[None])[0]
+    stepped = _normalized_rows(batch_w * np.where(live.T.reshape(-1, 1), batch_like, 1.0))
     prob = _row_products(batch_w, batch_like[:, :, None]).reshape(3, -1)
     cond = _row_products(stepped, np.tile(np.broadcast_to(values, w.shape), (3, 1))[:, :, None]).reshape(3, -1)
     stepped, like = stepped.reshape(3, len(w), -1), batch_like.reshape(3, len(w), -1)  # [a, r]: row r, action a

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -522,6 +523,23 @@ def test_emit_plots_polyline_counts(tmp_path):
     learned_svg = written["learned_fraction"].read_text()
     assert learned_svg.count("<polyline") == 1
     assert (tmp_path / "belief_on_truth.svg").exists()
+
+
+def test_emitted_charts_are_well_formed_xml_with_their_labels_intact(tmp_path):
+    # the learned-fraction title holds "<", so the labels are escaped to keep the files XML
+    config = ScenarioConfig(structure=binary_symmetric(0.8), prior=Belief.uniform(2), eta=0.5, mode="private",
+                            horizon=20, episodes=2, seed=1)
+    written = emit_plots(run_episodes(config), tmp_path, convergence_tol=0.1)
+    written["labels"] = svg_line_chart([([0, 1], [0, 1])], tmp_path / "labels.svg", title="a & b",
+                                       x_label="x < 1", y_label="<y>")
+    texts = {name: [t.text for t in ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+             for name, path in written.items()}
+    assert {name: (text[0], text[-2:]) for name, text in texts.items()} == {
+        "price_paths": ("Transaction price paths (2 of 2 episodes)", ["period", "price"]),
+        "belief_on_truth": ("Public belief on the true state", ["period", "belief weight"]),
+        "learned_fraction": ("Fraction of episodes with |price - true value| < 0.1", ["period", "fraction"]),
+        "labels": ("a & b", ["x < 1", "<y>"]),
+    }
 
 
 @pytest.mark.parametrize("thin", [2.5, "x", float("nan"), True, 0, -3])

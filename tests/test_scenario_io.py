@@ -226,3 +226,16 @@ def test_scenario_integral_floats_load_as_integers():
     config = scenario_from_dict(dict(SCENARIO_DOC, horizon=100.0, seed=7.0, true_state=1.0))
     assert (config.horizon, config.seed, config.true_state) == (100, 7, 1)
     assert isinstance(config.horizon, int)
+
+
+def test_a_config_holding_numpy_scalars_saves_as_the_one_with_python_numbers(tmp_path):
+    # ScenarioConfig accepts numpy integers and floats, and keeps them as
+    # Python numbers, so json can write them
+    python = scenario_from_dict(dict(SCENARIO_DOC, convergence_tol=0.25, true_state=1))
+    numpy = python.with_overrides(horizon=np.int64(100), episodes=np.int32(10), seed=np.uint8(42),
+                                  eta=np.float32(0.5), convergence_tol=np.float32(0.25), true_state=np.int64(1))
+    for config, name in ((python, "python.json"), (numpy, "numpy.json")):
+        save_scenario(config, tmp_path / name)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    assert [type(getattr(numpy, f.name)) for f in fields(ScenarioConfig)] == \
+        [type(getattr(python, f.name)) for f in fields(ScenarioConfig)]

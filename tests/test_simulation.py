@@ -299,28 +299,6 @@ def test_batch_rejects_a_belief_with_a_negative_weight(mode):
         RUN_EPISODE[mode](config, 0)
 
 
-# A table that SignalStructure rejects: at a small noise rate the buy
-# likelihood of state 0, eta / 3 - 0.05 (1 - eta), is negative.
-PRIVATE_NEGATIVE_TABLE = np.array([[1.05, -0.05], [0.2, 0.8]])
-
-
-@pytest.mark.parametrize("eta", [0.01, 0.05, 0.1])
-def test_private_block_that_fails_its_check_raises_as_the_period_loop(monkeypatch, eta):
-    # the table is swapped in after validation, as in
-    # test_batch_rejects_a_belief_with_a_negative_weight; a block of one
-    # period is the period loop
-    config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=eta,
-                            mode="private", horizon=50, episodes=5, seed=3)
-    object.__setattr__(config.structure, "likelihood", PRIVATE_NEGATIVE_TABLE)
-    messages = []
-    for block in (simulate._BLOCK, 1):
-        monkeypatch.setattr(simulate, "_BLOCK", block)
-        with pytest.raises(InvalidBelief) as raised:
-            run_episodes(config)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
-
-
 # ---------------------------------------------------------------- public mode
 
 def test_public_duplicate_state_ratio_is_invariant_each_step():
@@ -521,18 +499,25 @@ NONPOSITIVE_TABLES = [np.array([[0.5, 0.51, c], [0.5, 0.49, 0.01]]) for c in (-0
 
 
 @pytest.mark.parametrize("table", NONPOSITIVE_TABLES, ids=["negative", "zero", "nan"])
-def test_public_run_on_a_table_with_a_nonpositive_entry_raises_before_any_log(table):
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["private", "public"])
+def test_public_run_on_a_table_with_a_nonpositive_entry_raises_before_any_log(monkeypatch, mode, eta, table):
     # the table is swapped in after validation, as in
-    # test_batch_rejects_a_belief_with_a_negative_weight; the kernel takes
-    # the log of every entry, so it checks them all first
+    # test_batch_rejects_a_belief_with_a_negative_weight; one check at the
+    # kernel's door covers both modes, before any draw, Bayes step or log
     structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b", "c")),
                                 np.array([[0.5, 0.49, 0.01], [0.5, 0.49, 0.01]]))
-    config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=0.0, mode="public",
+    config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=eta, mode=mode,
                             horizon=200, episodes=3, seed=5, true_state=1)
     object.__setattr__(config.structure, "likelihood", table)
     message = (f"likelihood table [[0.5, 0.51, {table[0, 2]}], [0.5, 0.49, 0.01]] has an entry that is not "
-               "finite and positive, so public beliefs would not stay finite and nonnegative")
-    runs = (lambda: run_episodes(config), lambda: run_episodes(config, paths=False), lambda: run_public_episode(config, 0))
+               "finite and positive, so beliefs would not stay finite and nonnegative")
+
+    def drawn(*args):
+        raise AssertionError("the run drew before it checked the table")
+
+    monkeypatch.setattr(simulate, "_draw_codes", drawn)
+    runs = (lambda: run_episodes(config), lambda: run_episodes(config, paths=False), lambda: RUN_EPISODE[mode](config, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in runs:

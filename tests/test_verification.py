@@ -415,13 +415,13 @@ def _per_action_loop(w, like):
     {(40, 0): [-1e-6, 1.0], (0, 1): [-1e-6, 1.0]}, {(40, 0): [-1.0, 0.0], (0, 1): [np.nan, 1.0]},
 ])
 def test_one_step_updates_raise_as_a_per_action_loop(monkeypatch, action, poison):
-    # the three actions' updates are one stepper call on action-major rows.
+    # the three actions' updates are one checked update of action-major rows.
     # Poison likelihood rows after the quote solve, keyed by (row, actions
     # after ``action``), each that the batch has: the error is that of one
     # checked update per action, its first row that it cannot normalize,
     # else its first row that is not a belief, when the bad actions fail in
     # the same way (row 40 before row 0, action before action + 1)
-    solve, step, seen, steps = verify.quote_rows, verify._stepped_rows, [], []
+    solve, step, seen, steps = verify.quote_rows, verify._normalized_rows, [], []
 
     def poisoned(w, values, table, e):
         *quotes, like = solve(w, values, table, e)
@@ -432,12 +432,12 @@ def test_one_step_updates_raise_as_a_per_action_loop(monkeypatch, action, poison
         seen.append((w, like))
         return (*quotes, like)
 
-    def counted(w, like):
-        steps.append(len(w))
-        return step(w, like)
+    def counted(raw):
+        steps.append(len(raw))
+        return step(raw)
 
     monkeypatch.setattr(verify, "quote_rows", poisoned)
-    monkeypatch.setattr(verify, "_stepped_rows", counted)
+    monkeypatch.setattr(verify, "_normalized_rows", counted)
     structure = binary_symmetric(0.8)
     for run in (lambda: one_step_reports(Belief(np.array([0.3, 0.7])), structure, 0.5, 1),
                 lambda: run_martingale_suite(trials=100, structure=structure, eta=0.5)):
@@ -446,7 +446,8 @@ def test_one_step_updates_raise_as_a_per_action_loop(monkeypatch, action, poison
         with pytest.raises(InvalidBelief) as looped:
             _per_action_loop(*seen[-1])
         assert "(belief" in str(batched.value) and str(batched.value) == str(looped.value)
-    assert steps == [3, 300]  # one stepper call per kernel call, three rows per belief
+    # one update call per kernel call, three rows per belief; the suite also normalizes its 100 beliefs
+    assert steps == [3, 100, 300]
 
 
 def test_suite_fails_a_non_finite_deviation_and_names_its_first_trial(monkeypatch):
