@@ -4,10 +4,10 @@ Reproducibility contract: episode ``i`` of a run draws its randomness from
 ``numpy.random.default_rng(SeedSequence((seed, i)))``, so results are
 bit-identical for a given (config, seed) regardless of episode scheduling.
 Within an episode all randomness is drawn up front in a fixed order (true
-state, trader types, signals, noise actions), which also lets the two market
-modes share identical draws in comparisons.
+state, trader types, signals, noise actions), and a comparison runs both
+modes' kernels on that one draw.
 
-Both modes run as one batched kernel: all episodes of a run step together
+Each mode runs as one batched kernel: all episodes of a run step together
 as the rows of one weight array, and :func:`run_private_episode` and
 :func:`run_public_episode` are that kernel on a batch of one.
 """
@@ -44,13 +44,13 @@ __all__ = [
 PRIVATE = "private"
 PUBLIC = "public"
 
-# Periods a private-mode block steps before one quote_rows call checks them
-# (see _run).  16 ran the shipped scenarios faster, but 35% slower than the
+# Periods a private-mode block steps before one quote_rows call checks them (see
+# _private_kernel).  16 ran the shipped scenarios faster, but 35% slower than the
 # period loop on 300 episodes whose sets change every ~13 periods; 8 did not.
 _BLOCK = 8
-# Episode-periods per public-mode block (see _run), but at least 64 periods:
-# shorter blocks ran 2x slower at 300 x 3,000, and blocks of 8,192 cells
-# raised the peak over the paths at 20 x 3,000.
+# Episode-periods per public-mode block (see _public_kernel), but at least 64
+# periods: shorter blocks ran 2x slower at 300 x 3,000, and blocks of 8,192
+# cells raised the peak over the paths at 20 x 3,000.
 _CELLS = 1 << 11
 
 
@@ -75,6 +75,9 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigInvalid(f"{name} must be {'a number' if kind is Real else 'an integer'}, got {value!r}")
             object.__setattr__(self, name, float(value) if kind is Real else int(value))  # numpy scalars: not JSON
+        for name, kind in (("structure", SignalStructure), ("prior", Belief)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigInvalid(f"{name} must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
         if len(self.prior) != self.structure.n_states:
             raise ConfigInvalid("prior length does not match the state space")
         if not self.prior.full_support:
@@ -170,7 +173,7 @@ class MonteCarloSummary:
 
 @dataclass(frozen=True)
 class ModeComparison:
-    """Side-by-side summaries from shared per-episode draws.
+    """Side-by-side summaries of both modes on one draw per episode.
 
     ``nesting_ok`` reports the empirical containment check: the public-signal
     market should learn at least as often as the private one, up to ``slack``
@@ -223,8 +226,8 @@ def _stepped_rows(w: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 def _counted_rows(counts: np.ndarray, logs: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """The public beliefs, states last, after ``counts[j]`` revealed signals
-    ``j`` (see _run).  ``logs`` and ``prior`` carry two trailing axes, so the
-    work runs state-major: numpy reduces a short last axis many times slower."""
+    ``j`` (see _public_kernel).  ``logs`` and ``prior`` carry two trailing axes,
+    so the work runs state-major: numpy reduces a short last axis many times slower."""
     w = sum(log * count for log, count in zip(logs, counts))
     w -= w.max(axis=0)
     np.exp(w, out=w)
@@ -233,39 +236,105 @@ def _counted_rows(counts: np.ndarray, logs: np.ndarray, prior: np.ndarray) -> np
     return np.moveaxis(w, 0, -1)
 
 
-def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> RunResult:
-    """The episodes ``episodes`` of a run in market mode ``mode``, stepped
-    together as the rows of one weight array.  Each row keeps only its
-    current belief and price; ``paths`` also writes them per period into
-    path arrays, and leaves the final columns the same.  A likelihood entry
-    that is not finite and positive (only a table swapped in after
-    validation) raises :class:`InvalidBelief` before any allocation or draw.
+def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
+    """Private mode (see _run), stepping the prior rows ``cur`` in place.  The market
+    maker updates on each period's action alone, through ``_stepped_rows``; a row
+    whose partition is all-no-trade leaves the active set, since no action then
+    moves it, and its path is filled as constant.  Each row steps ``_BLOCK``
+    periods ahead on its current partition, one ``quote_rows`` call solves every
+    stepped belief, and a row keeps the periods up to its first belief whose sets
+    or action likelihoods differ (a new sorted order alters their last bits): its
+    path is the period loop's bit for bit.  A block that raises is stepped again
+    one period at a time, so an error names a belief that loop reaches."""
+    (size, t_max), n = code.shape, cur.shape[1]
+    cascade_time = np.full(size, -1)
+    price = _row_products(cur, values)  # per row its price after its last written period
+    if beliefs is not None:
+        beliefs[:, 0], prices[:, 0] = cur, price
+    t = np.zeros(size, dtype=np.intp)  # per row its last written period
+    active, quotes = np.arange(size), quote_rows(cur, values, table, e)  # each active row's quotes
+    careful = 0  # periods left to step one at a time after a block raised
+    while True:
+        trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
+        cascade_time[active[~trading]] = t[active[~trading]]
+        going = trading & (t[active] < t_max)
+        if not going.any():
+            break
+        active, quotes = active[going], [x[going] for x in quotes]
+        bid, ask, buy, sell, like = quotes
+        k, at, rows = 1 if careful else _BLOCK, t[active], np.arange(active.size)
+        span = at[:, None] + np.arange(k)  # the block's periods, past the horizon for rows near it
+        # per row the action, in model.ACTIONS order, of each signal and then of each noise code
+        act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
+        action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
+        stepped = _stepped_rows(cur[active], like[rows, action.T])  # [j]: j + 1 periods on, if the sets hold
+        try:
+            check = quote_rows(stepped.reshape(-1, n), values, table, e)
+        except NoConsistentPartition:
+            if careful:  # a one-period block steps only beliefs the period loop reaches
+                raise
+            careful = _BLOCK  # the error may come from a belief past a partition change
+            continue
+        careful = max(careful - 1, 0)
+        check = [x.reshape(k, rows.size, *x.shape[1:]) for x in check]
+        # each row accepts its periods up to the first belief whose sets or likelihoods differ, or its horizon
+        stop = ~((check[2] == buy).all(2) & (check[3] == sell).all(2) & (check[4] == like).all((2, 3))).T
+        stop[rows, np.minimum(k, t_max - at) - 1] = True
+        done = stop.argmax(axis=1) + 1
+        # the price after a period is the quote the last trade so far hit, else the price before the block
+        hit = np.where(action == 0, np.vstack([ask, check[1][:-1]]).T, np.vstack([bid, check[0][:-1]]).T)
+        last = np.maximum.accumulate(np.where(action < 2, np.arange(k), -1), axis=1)
+        now = np.where(last >= 0, hit[rows[:, None], last], price[active][:, None])
+        if beliefs is not None:
+            taken = np.arange(k) < done[:, None]
+            written = np.broadcast_to(active[:, None], taken.shape)[taken], span[taken] + 1
+            prices[written], beliefs[written] = now[taken], stepped.transpose(1, 0, 2)[taken]
+        price[active], cur[active] = now[rows, done - 1], stepped[done - 1, rows]
+        t[active] = at + done
+        quotes = [x[done - 1, rows] for x in check]
+    if beliefs is not None:  # a row that stopped early keeps its last price and belief
+        for r in range(size):
+            prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = price[r], cur[r]
+    return cascade_time, price, cur, prices, beliefs
 
-    Private mode: each period a noise trader acts uniformly or an informed
-    one on its signal's partition class, and the market maker updates on
-    the action alone, through ``_stepped_rows``.  A row whose partition is
-    all-no-trade leaves the active set: every action likelihood is then
-    state-independent, so the rest of its path is filled as constant.
-    Partitions seldom change, so each row steps ``_BLOCK`` periods ahead on
-    its current partition and one ``quote_rows`` call solves every stepped
-    belief; a row keeps the periods up to its first belief whose sets or
-    action likelihoods differ (a new sorted order alters their last bits)
-    and restarts there, so its path is the period loop's bit for bit.  A
-    block that raises is stepped again one period at a time, so an error
-    names a belief that loop reaches.
 
-    Public mode: an informed period reveals the signal to everyone, and a
-    noise period leaves belief and price untouched, so a belief depends
-    only on the prior and the count of each signal revealed so far.  It is
-    ``prior * exp(s - max(s))`` normalized, the price its expectation,
-    where ``s[i]`` sums count times log-likelihood over the signals for each
-    state ``i`` apart: states with equal table rows keep their prior ratio,
-    and a weight that underflows comes back once the counts favour its
-    state.  The kernel counts signals in blocks of ``_CELLS`` cells; with
-    ``paths`` it writes each block's beliefs in place, so a noise period
-    repeats the belief before it bit for bit.  :class:`ConfigInvalid` names
-    a run too large to allocate or to draw.
-    """
+def _public_kernel(code, prior, values, table, beliefs=None):
+    """Public mode (see _run); no row freezes, and the price path comes from
+    the beliefs.  A noise period reveals nothing, so a belief depends only on
+    the prior and the count of each signal revealed so far: it is
+    ``prior * exp(s - max(s))`` normalized, where ``s[i]`` sums count times
+    log-likelihood for state ``i`` apart.  So states with equal table rows
+    keep their prior ratio, and a weight that underflows comes back once the
+    counts favour its state.  Blocks of ``_CELLS`` cells write their beliefs
+    in place, so a noise period repeats the belief before it bit for bit."""
+    (size, t_max), (n, m) = code.shape, table.shape
+    # per signal the log-likelihoods against its likeliest state, so the sums stay small
+    logs = np.log(table / table.max(axis=0)).T[..., None, None]
+    prior, signal = prior.T[..., None], np.arange(m, dtype=code.dtype)[:, None, None]
+    seen = np.zeros((m, size, 1))  # per signal and row its count revealed so far
+    span = max(64, _CELLS // size)
+    for k in range(0, t_max, span):
+        revealed = code[:, k:k + span] == signal
+        if beliefs is not None:  # the belief at period t counts the signals of the periods before t
+            counts = np.cumsum(revealed, axis=2) - revealed + seen
+            beliefs[:, k:k + counts.shape[2]] = _counted_rows(counts, logs, prior)
+        seen += np.count_nonzero(revealed, axis=2, keepdims=True)
+    cur, prices = _counted_rows(seen, logs, prior)[:, 0].copy(), None
+    if beliefs is not None:
+        beliefs[:, -1] = cur
+        prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
+    return np.full(size, -1), _row_products(cur, values), cur, prices, beliefs
+
+
+def _run(config: ScenarioConfig, episodes, modes, paths: bool = True) -> tuple:
+    """One :class:`RunResult` per mode in ``modes``, all on one draw of the
+    episodes ``episodes``.  A mode's kernel takes the period codes, prior rows
+    of its own, the values, the table, (private) the noise rate and path
+    arrays of its own or None, and returns the RunResult columns from
+    ``cascade_time`` on; it keeps per row only its current belief and price.
+    A likelihood entry that is not finite and positive (only a table swapped
+    in after validation) raises :class:`InvalidBelief` before any allocation
+    or draw, and :class:`ConfigInvalid` names a run too large for either."""
     values, table, e = config.structure.states.values, config.structure.likelihood, _eta_value(config.eta)
     (n, m), t_max = table.shape, config.horizon
     if not ((0 < table) & (table < np.inf)).all():  # NaN fails both
@@ -275,88 +344,24 @@ def _run(config: ScenarioConfig, episodes, mode: str, paths: bool = True) -> Run
     size = len(episodes)
     try:  # code: per period the signal of an informed trader, else m + the noise action
         code = np.empty((size, t_max), dtype=np.min_scalar_type(m + 2))
-        beliefs = np.empty((size, t_max + 1, n)) if paths else None
-        prices = np.empty((size, t_max + 1)) if paths and mode == PRIVATE else None  # public: from the beliefs
+        beliefs = [np.empty((size, t_max + 1, n)) if paths else None for _ in modes]  # never shared between modes
+        prices = np.empty((size, t_max + 1)) if paths and PRIVATE in modes else None  # public: from its beliefs
         true_state = _draw_codes(config, episodes, code)
     except (MemoryError, ValueError):
         raise ConfigInvalid(f"a run of {size} episodes x {t_max} periods does not fit in memory") from None
-
-    cur = np.tile(config.prior.weights, (size, 1))  # per row its belief after its last written period
-    cascade_time = np.full(size, -1)
-    if mode == PRIVATE:
-        price = _row_products(cur, values)  # per row its price after its last written period
-        if paths:
-            beliefs[:, 0], prices[:, 0] = cur, price
-        t = np.zeros(size, dtype=np.intp)  # per row its last written period
-        active, quotes = np.arange(size), quote_rows(cur, values, table, e)  # each active row's quotes
-        careful = 0  # periods left to step one at a time after a block raised
-        while True:
-            trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
-            cascade_time[active[~trading]] = t[active[~trading]]
-            going = trading & (t[active] < t_max)
-            if not going.any():
-                break
-            active, quotes = active[going], [x[going] for x in quotes]
-            bid, ask, buy, sell, like = quotes
-            k, at, rows = 1 if careful else _BLOCK, t[active], np.arange(active.size)
-            span = at[:, None] + np.arange(k)  # the block's periods, past the horizon for rows near it
-            # per row the action, in model.ACTIONS order, of each signal and then of each noise code
-            act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
-            action = act[rows[:, None], code[active[:, None], np.minimum(span, t_max - 1)]]
-            stepped = _stepped_rows(cur[active], like[rows, action.T])  # [j]: j + 1 periods on, if the sets hold
-            try:
-                check = quote_rows(stepped.reshape(-1, n), values, table, e)
-            except NoConsistentPartition:
-                if careful:  # a one-period block steps only beliefs the period loop reaches
-                    raise
-                careful = _BLOCK  # the error may come from a belief past a partition change
-                continue
-            careful = max(careful - 1, 0)
-            check = [x.reshape(k, rows.size, *x.shape[1:]) for x in check]
-            # each row accepts its periods up to the first belief whose sets or likelihoods differ, or its horizon
-            stop = ~((check[2] == buy).all(2) & (check[3] == sell).all(2) & (check[4] == like).all((2, 3))).T
-            stop[rows, np.minimum(k, t_max - at) - 1] = True
-            done = stop.argmax(axis=1) + 1
-            # the price after a period is the quote the last trade so far hit, else the price before the block
-            hit = np.where(action == 0, np.vstack([ask, check[1][:-1]]).T, np.vstack([bid, check[0][:-1]]).T)
-            last = np.maximum.accumulate(np.where(action < 2, np.arange(k), -1), axis=1)
-            now = np.where(last >= 0, hit[rows[:, None], last], price[active][:, None])
-            if paths:
-                taken = np.arange(k) < done[:, None]
-                written = np.broadcast_to(active[:, None], taken.shape)[taken], span[taken] + 1
-                prices[written], beliefs[written] = now[taken], stepped.transpose(1, 0, 2)[taken]
-            price[active], cur[active] = now[rows, done - 1], stepped[done - 1, rows]
-            t[active] = at + done
-            quotes = [x[done - 1, rows] for x in check]
-        if paths:  # a row that stopped early keeps its last price and belief
-            for r in range(size):
-                prices[r, t[r] + 1:], beliefs[r, t[r] + 1:] = price[r], cur[r]
-    else:
-        # per signal the log-likelihoods against its likeliest state, so the sums stay small
-        logs = np.log(table / table.max(axis=0)).T[..., None, None]
-        prior, signal = config.prior.weights[:, None, None], np.arange(m, dtype=code.dtype)[:, None, None]
-        seen = np.zeros((m, size, 1))  # per signal and row its count revealed so far
-        span = max(64, _CELLS // size)
-        for k in range(0, t_max, span):
-            revealed = code[:, k:k + span] == signal
-            if paths:  # the belief at period t counts the signals of the periods before t
-                counts = np.cumsum(revealed, axis=2) - revealed + seen
-                beliefs[:, k:k + counts.shape[2]] = _counted_rows(counts, logs, prior)
-            seen += np.count_nonzero(revealed, axis=2, keepdims=True)
-        cur = _counted_rows(seen, logs, prior)[:, 0].copy()
-        if paths:
-            beliefs[:, -1] = cur
-            prices = _row_products(beliefs.reshape(-1, n), values).reshape(size, t_max + 1)
-        price = _row_products(cur, values)
-    return RunResult(mode=mode, episode=episodes, true_state=true_state, true_value=values[true_state],
-                     cascade_time=cascade_time, final_price=price, final_belief=cur, price_path=prices,
-                     belief_path=beliefs)
+    runs = []
+    for mode, kept in zip(modes, beliefs):
+        prior = np.tile(config.prior.weights, (size, 1))
+        columns = (_private_kernel(code, prior, values, table, e, kept, prices) if mode == PRIVATE
+                   else _public_kernel(code, prior, values, table, kept))
+        runs.append(RunResult(mode, episodes, true_state, values[true_state], *columns))
+    return tuple(runs)
 
 
 def run_private_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
     """One private-signal episode: the batched kernel on the batch
     ``[episode_index]``."""
-    return _run(config, [episode_index], PRIVATE)[0]
+    return _run(config, [episode_index], (PRIVATE,))[0][0]
 
 
 def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeResult:
@@ -364,12 +369,12 @@ def run_public_episode(config: ScenarioConfig, episode_index: int) -> EpisodeRes
     ``[episode_index]``.  Its beliefs come from the signal counts in log
     space, so they match a one-signal Bayes posterior per period plus
     :func:`~market_learn.model.expectation` to rounding, not bit for bit."""
-    return _run(config, [episode_index], PUBLIC)[0]
+    return _run(config, [episode_index], (PUBLIC,))[0][0]
 
 
 def run_episodes(config: ScenarioConfig, paths: bool = True) -> RunResult:
     """All episodes of the scenario, in episode order, as one batch, with paths only if ``paths`` (see _run)."""
-    return _run(config, range(config.episodes), config.mode, paths)
+    return _run(config, range(config.episodes), (config.mode,), paths)[0]
 
 
 def summarize_episodes(run: RunResult, config: ScenarioConfig) -> MonteCarloSummary:
@@ -394,15 +399,13 @@ def run_monte_carlo(config: ScenarioConfig) -> MonteCarloSummary:
 
 
 def compare_modes(config: ScenarioConfig, slack: float = 0.05) -> ModeComparison:
-    """Run both market modes on identical per-episode draws (same true
-    state, same trader types, same signal stream) and compare summaries.
+    """Run both market modes on one draw per episode (same true state,
+    same trader types, same signal stream) and compare summaries.
     ``slack`` must be finite and nonnegative."""
     if isinstance(slack, bool) or not isinstance(slack, Real) or not (0 <= slack < np.inf):  # also rejects NaN
         raise PreconditionFailed(f"slack must be finite and nonnegative, got {slack!r}")
-    private_episodes = _run(config, range(config.episodes), PRIVATE, paths=False)
-    public_episodes = _run(config, range(config.episodes), PUBLIC, paths=False)
-    private = summarize_episodes(private_episodes, config)
-    public = summarize_episodes(public_episodes, config)
+    private_episodes, public_episodes = _run(config, range(config.episodes), (PRIVATE, PUBLIC), paths=False)
+    private, public = (summarize_episodes(run, config) for run in (private_episodes, public_episodes))
     nesting_ok = public.learned_fraction >= private.learned_fraction - slack
     return ModeComparison(private=private, public=public, slack=slack, nesting_ok=nesting_ok,
                           private_episodes=private_episodes, public_episodes=public_episodes)

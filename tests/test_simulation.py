@@ -70,6 +70,11 @@ def test_config_rejects_bad_inputs():
         binary_config(convergence_tol=0.0)
     with pytest.raises(ConfigInvalid):
         binary_config(prior=Belief.uniform(3), structure=binary_symmetric())
+    # a structure or prior of another type raises before any of its attributes is read
+    with pytest.raises(ConfigInvalid, match=r"^prior must be a Belief, got list$"):
+        binary_config(prior=[0.5, 0.5])
+    with pytest.raises(ConfigInvalid, match=r"^structure must be a SignalStructure, got str$"):
+        binary_config(structure="x")
 
 
 @pytest.mark.parametrize("call, field, value", [
@@ -503,8 +508,9 @@ NONPOSITIVE_TABLES = [np.array([[0.5, 0.51, c], [0.5, 0.49, 0.01]]) for c in (-0
 @pytest.mark.parametrize("mode", ["private", "public"])
 def test_public_run_on_a_table_with_a_nonpositive_entry_raises_before_any_log(monkeypatch, mode, eta, table):
     # the table is swapped in after validation, as in
-    # test_batch_rejects_a_belief_with_a_negative_weight; one check at the
-    # kernel's door covers both modes, before any draw, Bayes step or log
+    # test_batch_rejects_a_belief_with_a_negative_weight; one check at
+    # _run's door covers both modes and compare_modes, before any draw,
+    # Bayes step or log
     structure = SignalStructure(StateSpace(np.array([0.0, 1.0])), SignalSpace(("a", "b", "c")),
                                 np.array([[0.5, 0.49, 0.01], [0.5, 0.49, 0.01]]))
     config = ScenarioConfig(structure=structure, prior=Belief.uniform(2), eta=eta, mode=mode,
@@ -517,7 +523,8 @@ def test_public_run_on_a_table_with_a_nonpositive_entry_raises_before_any_log(mo
         raise AssertionError("the run drew before it checked the table")
 
     monkeypatch.setattr(simulate, "_draw_codes", drawn)
-    runs = (lambda: run_episodes(config), lambda: run_episodes(config, paths=False), lambda: RUN_EPISODE[mode](config, 0))
+    runs = (lambda: run_episodes(config), lambda: run_episodes(config, paths=False),
+            lambda: RUN_EPISODE[mode](config, 0), lambda: compare_modes(config))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in runs:
@@ -631,7 +638,7 @@ def test_row_views_of_a_run_without_paths(mode):
         assert b.price_path is None and b.belief_path is None
         assert (b.final_price, b.final_belief_on_truth) == (a.final_price, a.final_belief_on_truth)
         assert (a.final_price, a.final_belief_on_truth) == (a.price_path[-1], a.belief_path[-1, a.true_state])
-    # compare_modes runs without paths, on the draws each mode's own run makes
+    # compare_modes runs both kernels without paths on one draw, which each mode's own run repeats
     run = getattr(compare_modes(config), f"{mode}_episodes")
     full = run_episodes(config)
     assert run.price_path is None and run.belief_path is None
@@ -685,9 +692,12 @@ def test_summary_matches_per_episode_reference(preset, true_state, mode):
 def test_run_too_large_to_allocate_raises_a_typed_error():
     # 10**18 one-byte period codes are 888 PiB, which no overcommit policy
     # maps, so the failing allocation reserves nothing
+    message = r"^a run of 1 episodes x 1000000000000000000 periods does not fit in memory$"
     for mode in ("private", "public"):
-        with pytest.raises(ConfigInvalid, match=r"1 episodes x 1000000000000000000 periods"):
+        with pytest.raises(ConfigInvalid, match=message):
             run_episodes(binary_config(mode=mode, episodes=1, horizon=10**18))
+    with pytest.raises(ConfigInvalid, match=message):
+        compare_modes(binary_config(episodes=1, horizon=10**18))
 
 
 def test_four_state_summary_learned_fraction_is_zero():
@@ -717,14 +727,53 @@ def test_per_state_breakdown_covers_all_episodes():
 
 # ---------------------------------------------------------------- mode comparison
 
-def test_compare_modes_shares_episode_draws():
+def test_compare_modes_shares_episode_draws(monkeypatch):
+    # both kernels run on one draw, so each mode's columns are those of the
+    # mode's own run without paths, which draws the same episodes again
+    draws, draw = [], simulate._draw_codes
+
+    def counting(config, episodes, code):
+        draws.append(len(episodes))
+        return draw(config, episodes, code)
+
+    monkeypatch.setattr(simulate, "_draw_codes", counting)
     config = binary_config(episodes=6, horizon=80)
     comparison = compare_modes(config)
+    assert draws == [6]
     assert len(comparison.private_episodes) == len(comparison.public_episodes) == 6
     for a, b in zip(comparison.private_episodes, comparison.public_episodes):
         assert (a.mode, b.mode) == ("private", "public")
         assert a.true_state == b.true_state
     assert set(comparison.as_dict()) == {"private", "public", "slack", "nesting_ok"}
+    for preset in (binary_symmetric, three_state_informative, four_state_cascade):
+        structure = preset()
+        config = ScenarioConfig(structure=structure, prior=Belief.uniform(structure.n_states), eta=0.5,
+                                mode="private", horizon=300, episodes=24, seed=17)
+        del draws[:]
+        comparison = compare_modes(config)
+        assert draws == [24], preset.__name__
+        for mode in ("private", "public"):
+            run = getattr(comparison, f"{mode}_episodes")
+            own = run_episodes(config.with_overrides(mode=mode), paths=False)
+            assert run.mode == own.mode == mode
+            for name in ("true_state", "cascade_time", "final_price", "final_belief"):
+                a, b = getattr(run, name), getattr(own, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (preset.__name__, mode, name)
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_a_two_mode_run_gives_each_mode_its_own_arrays(paths):
+    # one draw, but no path or belief array is shared between the modes
+    config = binary_config(episodes=6, horizon=80)
+    runs = simulate._run(config, range(config.episodes), ("private", "public"), paths)
+    for run in runs:
+        own = run_episodes(config.with_overrides(mode=run.mode), paths=paths)
+        for name in ("true_state", "cascade_time", "final_price", "final_belief", "price_path", "belief_path"):
+            a, b = getattr(run, name), getattr(own, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (run.mode, name)
+    for name in ("final_price", "final_belief", "price_path", "belief_path"):
+        a, b = (getattr(run, name) for run in runs)
+        assert (a is None and b is None) or not np.shares_memory(a, b), name
 
 
 def test_compare_modes_pure_noise_is_symmetric():
