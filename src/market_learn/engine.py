@@ -16,8 +16,10 @@ trades and the quotes sit at the extreme conditional values.
 
 :func:`quote_rows` applies the rule to every row of a weight array at once,
 with per-row value grids, tables and noise rates when asked, and also
-returns the three action likelihoods.  :func:`solve_quotes` is that kernel
-on a batch of one, returned as the value types.
+returns the three action likelihoods.  It scans signal-major, one whole-array
+step per sorted position until no row grows: the scalar greedy scan on every
+row at once, its sums added in the scan's order.  :func:`solve_quotes` is that
+kernel on a batch of one, returned as the value types.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ def quote_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e):
     ask, buy, sell, like)``: per row the quotes, the sets as signal masks,
     and the action likelihoods stacked as ``like[:, a]`` in
     :data:`~market_learn.model.ACTIONS` order.  For ``0 < e < 1`` each side
-    is the longest sorted prefix whose every signal beats the ``cumsum``
-    quote of the prefix before it; set masses sum the members in sorted
-    order, masking the rest to zero, which adds exactly.  Every solve checks
-    that each quote is the conditional expectation of its trade, that the
-    sets do not overlap and that the bid is not above the ask, and raises
+    is the scalar greedy scan run signal-major on all rows, bit for bit: set
+    masses add their members one at a time, in sorted order for a side and in
+    index order for no trade.  Every solve checks that each quote is the
+    conditional expectation of its trade, that the sets do not overlap and
+    that the bid is not above the ask, and raises
     :class:`NoConsistentPartition` naming the first row that fails."""
     (rows, n), m = w.shape, table.shape[-1]
-    r = np.arange(rows)[:, None]
+    r = np.arange(rows)
     exp_val = _row_products(w, values[..., None])[:, 0]
     f_sig = _row_products(w, table)
     num_sig = _row_products(values * w, table)
@@ -88,39 +90,41 @@ def quote_rows(w: np.ndarray, values: np.ndarray, table: np.ndarray, e):
     noise, informed = e / 3.0, 1.0 - e
     if isinstance(e, np.ndarray):  # the closed forms at the ends below take one shared rate
         _raise_where(~((0.0 < e) & (e < 1.0)), InvalidBelief, "a per-row noise rate must lie inside (0, 1)", w)
-        noise, informed = noise[:, None], informed[:, None]
+    # the scan runs rows last: numpy is many times slower on a short last axis
+    cols = table[..., None] if table.ndim == 2 else table.transpose(1, 2, 0)  # [:, j]: signal j's column
+    buy, sell, like, quotes = *np.zeros((2, m, rows), dtype=bool), np.empty((rows, 3, n)), []
 
     if not isinstance(e, np.ndarray) and not 0.0 < e < 1.0:  # the closed forms: nobody trades on a signal
-        none, like = np.zeros((rows, m), dtype=bool), np.full((rows, n), noise)
-        ask, bid = (exp_val, exp_val) if e >= 1.0 else (np.maximum(exp_val, v.max(axis=1)),
-                                                        np.minimum(exp_val, v.min(axis=1)))
-        sides = [(ask, none, like), (bid, none, like)]
+        like[:, :2] = noise
+        quotes = [exp_val, exp_val] if e >= 1.0 else [np.maximum(exp_val, v.max(axis=1)),
+                                                      np.minimum(exp_val, v.min(axis=1))]
     else:
-        sides = []
-        for sense, action in ((+1, BUY), (-1, SELL)):
-            order = np.argsort(-v if sense > 0 else v, axis=1, kind="stable")
-            num = np.concatenate([noise * exp_val[:, None], informed * num_sig[r, order]], axis=1).cumsum(1)
-            den = np.concatenate([np.full((rows, 1), noise), informed * f_sig[r, order]], axis=1).cumsum(1)
-            quote = num / den
+        for a, sense, action, members in ((0, +1, BUY, buy), (1, -1, SELL, sell)):
+            order = np.argsort(-v.T if sense > 0 else v.T, axis=0, kind="stable")  # [k]: each row's k-th signal
+            v_at, num_at, den_at = (np.take(x, r * m + order) for x in (v, num_sig, f_sig))
+            col_at = np.take(table, order, axis=1) if table.ndim == 2 else np.take_along_axis(cols, order[None], axis=1)
             # the empty prefix quotes the expectation itself, not (noise * exp_val) / noise
-            quote[:, 0] = exp_val
-            taken = np.logical_and.accumulate(sense * (v[r, order] - quote[:, :m]) > BOUNDARY_BAND, axis=1)
-            size = taken.sum(axis=1)
-            q = quote[r[:, 0], size]
-            at = (r[:, :, None],) * (table.ndim == 3) + (np.arange(n)[:, None], order[:, None, :])  # per-row tables
-            like = noise + informed * (table[at] * taken[:, None, :]).sum(axis=2)
-            cond = _row_products(values * w, like[:, :, None])[:, 0] / _row_products(w, like[:, :, None])[:, 0]
-            _raise_where(np.abs(cond - q) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(q)), NoConsistentPartition,
+            num, den, quote, mass = noise * exp_val, noise, exp_val, np.zeros((n, rows))
+            for k in range(m):
+                # sorted, so a row whose k-th signal fails to beat its quote grows no further
+                grow = sense * (v_at[k] - quote) > BOUNDARY_BAND
+                if not grow.any():
+                    break
+                num, den = num + informed * num_at[k], den + informed * den_at[k]
+                quote = np.where(grow, num / den, quote)
+                mass = mass + col_at[:, k] * grow
+                members[order[k], r] = grow
+            like[:, a] = (noise + informed * mass).T
+            cond = _row_products(values * w, like[:, a, :, None])[:, 0] / _row_products(w, like[:, a, :, None])[:, 0]
+            _raise_where(np.abs(cond - quote) > ZERO_PROFIT_TOL * np.maximum(1.0, np.abs(quote)), NoConsistentPartition,
                          f"{action} quote deviates from the conditional expectation of its trade", w)
-            members = np.zeros((rows, m), dtype=bool)
-            members[r, order] = taken
-            sides.append((q, members, like))
+            quotes.append(quote)
 
-    (ask, buy, like_buy), (bid, sell, like_sell) = sides
-    _raise_where((buy & sell).any(axis=1), NoConsistentPartition, "buy and sell sets overlap", w)
+    ask, bid = quotes
+    _raise_where((buy & sell).any(axis=0), NoConsistentPartition, "buy and sell sets overlap", w)
     _raise_where(~(bid <= ask), NoConsistentPartition, "bid above ask", w)
-    like_nt = noise + informed * (table * ~(buy | sell)[:, None, :]).sum(axis=2)
-    return bid, ask, buy, sell, np.stack([like_buy, like_sell, like_nt], axis=1)
+    like[:, 2] = (noise + informed * sum(cols[:, j] * idle for j, idle in enumerate(~(buy | sell)))).T  # index order
+    return bid, ask, buy.T.copy(), sell.T.copy(), like
 
 
 def solve_quotes(
@@ -130,12 +134,8 @@ def solve_quotes(
 ) -> tuple[Quotes, SignalPartition]:
     """Solve the jointly consistent zero-profit quotes and signal partition.
 
-    This is :func:`quote_rows` on a batch of one.  Candidate buy sets are
-    prefixes of the signals sorted by descending conditional value; the
-    candidate ask for a set is E[w | buy] computed in closed form from the
-    mixed action likelihood.  The buy set is the longest prefix whose every
-    signal's value exceeds the ask of the prefix before it by more than
-    ``BOUNDARY_BAND``, and the sell side mirrors this with the bid.
+    This is :func:`quote_rows` on a batch of one: the rule of this module,
+    with each candidate quote E[w | trade] in closed form.
 
     Degenerate noise rates are defined rather than rejected: at ``eta = 1``
     both quotes collapse to the current expectation, and at ``eta = 0`` the

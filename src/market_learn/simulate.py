@@ -44,9 +44,9 @@ __all__ = [
 PRIVATE = "private"
 PUBLIC = "public"
 
-# Periods a private-mode block steps before one quote_rows call checks them (see
-# _private_kernel).  16 ran the shipped scenarios faster, but 35% slower than the
-# period loop on 300 episodes whose sets change every ~13 periods; 8 did not.
+# Periods the first private-mode block steps (see _private_kernel).  Blocks double, up
+# to 64, after rows keep 90% of the beliefs solved and halve, down to 4, below 60%: 8
+# alone kept 67% on sets that change every ~13 periods, and 16 ran them 35% slower.
 _BLOCK = 8
 # Episode-periods per public-mode block (see _public_kernel), but at least 64
 # periods: shorter blocks ran 2x slower at 300 x 3,000, and blocks of 8,192
@@ -240,12 +240,14 @@ def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
     """Private mode (see _run), stepping the prior rows ``cur`` in place.  The market
     maker updates on each period's action alone, through ``_stepped_rows``; a row
     whose partition is all-no-trade leaves the active set, since no action then
-    moves it, and its path is filled as constant.  Each row steps ``_BLOCK``
+    moves it, and its path is filled as constant.  Each row steps one block of
     periods ahead on its current partition, one ``quote_rows`` call solves every
     stepped belief, and a row keeps the periods up to its first belief whose sets
     or action likelihoods differ (a new sorted order alters their last bits): its
-    path is the period loop's bit for bit.  A block that raises is stepped again
-    one period at a time, so an error names a belief that loop reaches."""
+    path is the period loop's bit for bit.  One block length serves the batch and
+    follows the share of solved beliefs the rows keep (see ``_BLOCK``).  A block
+    that raises is stepped again one period at a time over its whole length, so
+    an error names a belief that loop reaches."""
     (size, t_max), n = code.shape, cur.shape[1]
     cascade_time = np.full(size, -1)
     price = _row_products(cur, values)  # per row its price after its last written period
@@ -253,7 +255,7 @@ def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
         beliefs[:, 0], prices[:, 0] = cur, price
     t = np.zeros(size, dtype=np.intp)  # per row its last written period
     active, quotes = np.arange(size), quote_rows(cur, values, table, e)  # each active row's quotes
-    careful = 0  # periods left to step one at a time after a block raised
+    block, careful = _BLOCK, 0  # the block length, and the periods left to step one at a time after a raise
     while True:
         trading = quotes[2].any(axis=1) | quotes[3].any(axis=1)
         cascade_time[active[~trading]] = t[active[~trading]]
@@ -262,7 +264,7 @@ def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
             break
         active, quotes = active[going], [x[going] for x in quotes]
         bid, ask, buy, sell, like = quotes
-        k, at, rows = 1 if careful else _BLOCK, t[active], np.arange(active.size)
+        k, at, rows = 1 if careful else block, t[active], np.arange(active.size)
         span = at[:, None] + np.arange(k)  # the block's periods, past the horizon for rows near it
         # per row the action, in model.ACTIONS order, of each signal and then of each noise code
         act = np.hstack([np.where(buy, 0, np.where(sell, 1, 2)), np.tile(np.arange(3), (rows.size, 1))])
@@ -273,7 +275,7 @@ def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
         except NoConsistentPartition:
             if careful:  # a one-period block steps only beliefs the period loop reaches
                 raise
-            careful = _BLOCK  # the error may come from a belief past a partition change
+            careful = k  # the error may come from any belief of the block past a partition change
             continue
         careful = max(careful - 1, 0)
         check = [x.reshape(k, rows.size, *x.shape[1:]) for x in check]
@@ -281,6 +283,8 @@ def _private_kernel(code, cur, values, table, e, beliefs=None, prices=None):
         stop = ~((check[2] == buy).all(2) & (check[3] == sell).all(2) & (check[4] == like).all((2, 3))).T
         stop[rows, np.minimum(k, t_max - at) - 1] = True
         done = stop.argmax(axis=1) + 1
+        kept = done.sum() / stop.size  # the share of the solved beliefs the rows keep; all, in a one-period block
+        block = block if k == 1 else min(2 * block, 64) if kept >= 0.9 else max(block // 2, 4) if kept < 0.6 else block
         # the price after a period is the quote the last trade so far hit, else the price before the block
         hit = np.where(action == 0, np.vstack([ask, check[1][:-1]]).T, np.vstack([bid, check[0][:-1]]).T)
         last = np.maximum.accumulate(np.where(action < 2, np.arange(k), -1), axis=1)

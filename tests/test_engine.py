@@ -229,6 +229,35 @@ def test_quote_rows_match_quote_core_row_by_row():
                 np.testing.assert_array_equal(got[r], want)
 
 
+def many_signal_structure(rng, n, m):
+    """A random structure with ``m`` signals, enough that numpy would sum a
+    row of ``m`` columns pairwise rather than in order."""
+    table = np.maximum(rng.dirichlet(np.ones(m), size=n), 1e-3)
+    table /= table.sum(axis=1, keepdims=True)
+    values = np.cumsum(rng.uniform(0.3, 1.2, size=n))
+    return SignalStructure(StateSpace(values), SignalSpace(tuple(f"s{j}" for j in range(m))), table)
+
+
+def test_quote_rows_match_quote_core_with_nine_signals():
+    # with 8 or more signals a whole-row sum adds pairwise; the set masses
+    # must still add their members in the oracle's order, bit for bit
+    rng = np.random.default_rng(909)
+    for n in (3, 4):
+        structure = many_signal_structure(rng, n, 9)
+        w = rng.dirichlet(np.ones(n), size=300)
+        for e in (0.2, 0.5, 0.8):
+            bid, ask, buy, sell, like = quote_rows(w, structure.states.values, structure.likelihood, e)
+            for r in range(len(w)):
+                b, a, buy_r, sell_r = quote_core(w[r], structure, e)
+                assert (bid[r], ask[r]) == (b, a)
+                np.testing.assert_array_equal(np.flatnonzero(buy[r]), np.sort(buy_r))
+                np.testing.assert_array_equal(np.flatnonzero(sell[r]), np.sort(sell_r))
+                partition = SignalPartition(structure.n_signals, buy=buy_r, sell=sell_r)
+                for k, action in enumerate(ACTIONS):
+                    np.testing.assert_array_equal(like[r, k],
+                                                  action_likelihood_vector(structure, partition, e, action))
+
+
 def test_quote_rows_reject_per_row_rates_at_the_ends():
     # the closed forms at eta 0 and 1 take one shared rate; a per-row
     # rate there would fall through to the prefix scan and mis-solve
@@ -376,9 +405,21 @@ def test_private_episode_matches_scalar_reference_on_random_structures():
             _assert_episode_matches_reference(config, result)
 
 
-# Horizons on either side of one and two private-kernel blocks, plus one
-# period and 40 periods.
-BLOCK_HORIZONS = sorted({1, 40} | {j * simulate._BLOCK + d for j in (1, 2) for d in (-1, 0, 1)})
+def test_private_episode_matches_scalar_reference_with_nine_and_twelve_signals():
+    rng = np.random.default_rng(912)
+    for m in (9, 12):
+        for n in (3, 4):
+            structure = many_signal_structure(rng, n, m)
+            config = ScenarioConfig(structure=structure, prior=random_belief(rng, n), eta=0.4, mode="private",
+                                    horizon=200, episodes=12, seed=m)
+            for result in run_episodes(config):
+                _assert_episode_matches_reference(config, result)
+
+
+# Horizons on either side of the first four private-kernel block edges, where
+# blocks that keep every belief double from _BLOCK (8, 24, 56 and 120), plus
+# one period and 40 periods.
+BLOCK_HORIZONS = sorted({1, 40} | {simulate._BLOCK * (2 ** j - 1) + d for j in (1, 2, 3, 4) for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
@@ -404,11 +445,12 @@ def test_private_blocks_step_again_period_by_period_when_a_block_raises(monkeypa
     config = ScenarioConfig(structure=binary_symmetric(), prior=Belief.uniform(2), eta=0.3, mode="private",
                             horizon=40, episodes=8, seed=15)
     reached = {w.tobytes() for i in range(config.episodes) for w in reference_episode(config, i)[2]}
-    failed = []
+    failed, solved = [], []
 
     def fails_off_the_path(w, values, table, e):
         off = np.array([row.tobytes() not in reached for row in w])
         failed.append(int(off.sum()))
+        solved.append(len(w))
         _raise_where(off, NoConsistentPartition, "off the period loop's path", w)
         return quote_rows(w, values, table, e)
 
@@ -416,11 +458,17 @@ def test_private_blocks_step_again_period_by_period_when_a_block_raises(monkeypa
     for result in run_episodes(config):
         _assert_episode_matches_reference(config, result)
     assert sum(failed) > 0
-    target = reference_episode(config, 0)[2][20]  # episode 0 trades until period 40
+    # episode 0 trades until period 40 and keeps its partition, so its blocks
+    # grow to 8, 16 and 32 periods; the target lies 12 periods into the third
+    target = reference_episode(config, 0)[2][36]
     reached.discard(target.tobytes())
+    solved.clear()
     with pytest.raises(NoConsistentPartition, match="off the period loop's path") as raised:
         run_private_episode(config, 0)
     assert repr(target) in str(raised.value)
+    # the raising block is stepped again one period at a time over its whole
+    # length, so no longer block runs before the error
+    assert solved == [1, simulate._BLOCK, 2 * simulate._BLOCK, 4 * simulate._BLOCK] + (36 - 24) * [1]
 
 
 def test_one_step_price_martingale_on_random_states():

@@ -252,9 +252,10 @@ def test_batch_matches_single_episodes_with_a_fixed_true_state(mode):
 
 
 def test_private_batch_matches_single_episodes_when_rows_freeze_inside_one_block(monkeypatch):
-    # binary_symmetric keeps its partition until it freezes, so every row
-    # steps whole blocks from period 0: the freezes at periods 36, 39 and
-    # 40, the horizon, all fall inside the last block, which starts at 32
+    # binary_symmetric keeps its partition until it freezes, so every block
+    # keeps every belief and the next one doubles: blocks of 8, 16 and 32
+    # periods start at 0, 8 and 24, and the freezes at periods 36, 39 and 40,
+    # the horizon, all fall inside the third
     solved = []
 
     def counting(w, values, table, e):
@@ -265,9 +266,9 @@ def test_private_batch_matches_single_episodes_when_rows_freeze_inside_one_block
     config = binary_config(eta=0.3, horizon=40, seed=15)
     results = _assert_batch_matches_single_episodes(config)
     assert [r.cascade_time for r in results] == [40, 39, None, None, 39, None, None, 36]
-    blocks = -(-config.horizon // simulate._BLOCK)
-    assert (blocks - 1) * simulate._BLOCK == 32
-    assert solved[:blocks + 1] == [8] + blocks * [8 * simulate._BLOCK]
+    block = simulate._BLOCK
+    assert block + 2 * block == 24 < 36 and 24 + 4 * block > 40
+    assert solved[:4] == [8, 8 * block, 8 * 2 * block, 8 * 4 * block]
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
